@@ -84,103 +84,15 @@ let timeout_arg =
 let resume_arg =
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE"
          ~doc:"Checkpoint file: progress is saved there after every program \
-               and a matching interrupted campaign resumes from it.")
-
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Domains fuzzing programs concurrently; 0 = all cores. The \
-               outcome is identical to -j 1 (programs are independent). \
-               Incompatible with --resume: checkpointing is sequential, so \
-               a resumed campaign runs serially (with a warning).")
-
-let shards_arg =
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-         ~doc:"Crash-isolated worker processes for the campaign (composes \
-               with -j inside each worker). A worker that segfaults or \
-               hangs is retried; a program that kills its worker on every \
-               attempt is bisected out and reported as a skip, like the \
-               in-process retry barrier. Incompatible with --resume.")
-
-let worker_arg =
-  Arg.(value & flag & info [ "worker" ]
-         ~doc:"Internal: serve campaign programs over the supervisor frame \
-               protocol on stdin/stdout. Spawned by --shards; not for \
-               interactive use.")
+               and a matching interrupted campaign resumes from it. \
+               Checkpointing is sequential, so a resumed campaign ignores \
+               -j and --shards (with a warning).")
 
 let inject_worker_arg =
   Arg.(value & opt (some string) None
          & info [ "inject-worker-fault" ] ~docv:"MODE"
          ~doc:"Self-test the shard supervisor: worker-kill, worker-stall, \
                worker-truncate, or worker-poison:N. Requires --shards > 1.")
-
-let metrics_out_arg =
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"PATH"
-         ~doc:"Write campaign metrics to $(docv): Prometheus text \
-               exposition, or JSON when the path ends in .json.")
-
-let trace_out_arg =
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"PATH"
-         ~doc:"Write a Chrome trace-event JSON timeline to $(docv); load \
-               it in Perfetto or chrome://tracing.")
-
-let flamegraph_out_arg =
-  Arg.(value & opt (some string) None & info [ "flamegraph-out" ] ~docv:"PATH"
-         ~doc:"Write a collapsed-stack flamegraph of campaign effort \
-               (contract tests by defense, contract and verdict) to \
-               $(docv); render with flamegraph.pl or speedscope.")
-
-let attr_out_arg =
-  Arg.(value & opt (some string) None & info [ "attr-out" ] ~docv:"PATH"
-         ~doc:"Write the campaign's leakage-attribution record (leaking \
-               transmitter pc, source access pc, trigger window, gadget \
-               family) as JSON to $(docv); the rendered record also \
-               prints on stdout.")
-
-let log_json_arg =
-  Arg.(value & flag & info [ "log-json" ]
-         ~doc:"Emit diagnostic log lines as structured JSON on stderr.")
-
-let listen_arg =
-  Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT"
-         ~doc:"Run the campaign as a TCP worker pool: bind $(docv) (port 0 \
-               picks one), lease program batches to workers that dial in \
-               with --connect, and re-dispatch the lease of any worker \
-               that disconnects or times out. --shards then bounds \
-               in-flight leases.")
-
-let connect_arg =
-  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT"
-         ~doc:"Serve campaign programs as a remote worker: dial a \
-               --listen'ing supervisor, authenticate with \
-               --campaign-token, and reconnect with backoff if the \
-               connection drops.")
-
-let token_arg =
-  Arg.(value & opt string "protean" & info [ "campaign-token" ] ~docv:"TOKEN"
-         ~doc:"Shared secret for the worker-pool handshake; a dial-in \
-               worker presenting a different token is rejected.")
-
-let metrics_listen_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-listen" ] ~docv:"HOST:PORT"
-         ~doc:"Serve live Prometheus metrics over HTTP at $(docv)/metrics \
-               for the duration of the campaign (port 0 picks one; the \
-               bound port is logged).")
-
-let no_skip_ahead_arg =
-  Arg.(value & flag & info [ "no-skip-ahead" ]
-         ~doc:"Disable event-driven skip-ahead: the simulator steps every \
-               idle cycle instead of jumping to the next event horizon. \
-               Results are bit-identical either way; this is the escape \
-               hatch (also PROTEAN_NO_SKIP_AHEAD=1). Exported to the \
-               environment so --shards workers inherit it.")
-
-let no_shared_frontend_arg =
-  Arg.(value & flag & info [ "no-shared-frontend" ]
-         ~doc:"Disable shared-frontend batching in the harness layers \
-               (--table-ii reaches the experiment grid); the escape hatch, \
-               also PROTEAN_NO_SHARED_FRONTEND=1. Results are \
-               bit-identical either way.")
 
 let check_certs_arg =
   Arg.(value & flag & info [ "check-certs" ]
@@ -481,8 +393,8 @@ let outcome_of_json j =
    worker died on every attempt (a poisoned cell) becomes a structured
    skip — exactly how the in-process barrier reports a program that
    faults twice. *)
-let run_campaign_supervised ~tele ~shards ~jobs ~inject ?pool ?http
-    ?(shrink = true) campaign d =
+let run_campaign_supervised (cli : Cli.t) ~inject ?http ?(shrink = true)
+    campaign d =
   let cells =
     List.init campaign.Fuzz.programs (fun i ->
         { Shard.c_id = i; c_key = string_of_int i })
@@ -490,27 +402,14 @@ let run_campaign_supervised ~tele ~shards ~jobs ~inject ?pool ?http
   let config =
     {
       Supervisor.default_config with
-      Supervisor.shards;
+      Supervisor.shards = cli.Cli.shards;
       inject = Option.map Fault_inject.worker_mode_of_string inject;
     }
-  in
-  let bus = Supervisor.create_bus () in
-  Supervisor.subscribe bus ~name:"log" (Supervisor.logger ());
-  if Report.wanted tele || http <> None then
-    Supervisor.subscribe bus ~name:"telemetry" (Report.supervisor_observer ());
-  let worker_argv =
-    Supervisor.self_worker_argv
-      ~drop:
-        [
-          "--shards"; "--inject-worker-fault"; "--listen"; "--metrics-listen";
-          "--campaign-token";
-        ]
-      ()
   in
   let fallback remaining =
     let remaining = Array.of_list remaining in
     let rs =
-      Parallel.map ~jobs
+      Parallel.map ~jobs:cli.Cli.jobs
         (Array.map
            (fun (c : Shard.cell) () -> fuzz_cell campaign d c.Shard.c_id)
            remaining)
@@ -519,9 +418,9 @@ let run_campaign_supervised ~tele ~shards ~jobs ~inject ?pool ?http
       (Array.mapi (fun i (c : Shard.cell) -> (c.Shard.c_id, rs.(i))) remaining)
   in
   let outcomes =
-    match pool with
-    | Some p -> Supervisor.run_pool ~bus ?http config ~pool:p ~fallback cells
-    | None -> Supervisor.run ~bus ?http config ~worker_argv ~fallback cells
+    Cli.dispatch
+      (Cli.wiring cli ?http ~drop:[ "--inject-worker-fault" ] ())
+      config ~fallback cells
   in
   let out = Fuzz.fresh_outcome () in
   let skips = ref [] in
@@ -577,16 +476,16 @@ let run_campaign_supervised ~tele ~shards ~jobs ~inject ?pool ?http
     r_attribution = attribution;
   }
 
-let run_campaign ~tele ~jobs ~shards ~inject_worker ?pool ?http campaign d
-    contract resume =
+let run_campaign (cli : Cli.t) ~inject_worker ?http campaign d contract
+    resume =
+  let jobs = cli.Cli.jobs and shards = cli.Cli.shards in
   let r =
     with_span
       (Printf.sprintf "%s|%s" d.Defense.id contract)
       (fun () ->
         match resume with
-        | None when shards > 1 || pool <> None ->
-            run_campaign_supervised ~tele ~shards ~jobs ~inject:inject_worker
-              ?pool ?http campaign d
+        | None when Cli.supervised cli ->
+            run_campaign_supervised cli ~inject:inject_worker ?http campaign d
         | None when jobs > 1 -> Parallel.fuzz_run_resilient ~jobs campaign d
         | _ ->
             if jobs > 1 || shards > 1 then
@@ -621,7 +520,7 @@ let run_campaign ~tele ~jobs ~shards ~inject_worker ?pool ?http campaign d
   (match r.Fuzz.r_attribution with
   | Some a -> print_endline (Twindow.render_attribution a)
   | None -> ());
-  (match tele.Report.attr_out with
+  (match cli.Cli.tele.Report.attr_out with
   | Some path ->
       Report.write_file path
         (Printf.sprintf
@@ -666,29 +565,12 @@ let run_campaign ~tele ~jobs ~shards ~inject_worker ?pool ?http campaign d
   in
   out.Fuzz.violations > 0 || cert_failed
 
-let run table_ii defense contract programs inputs adversary seed core_width
-    squash_bug gadget timeout resume inject jobs shards worker inject_worker
-    check_certs no_skip_ahead no_shared_frontend pass_fault metrics_out
-    trace_out flamegraph_out attr_out log_json listen connect token
-    metrics_listen =
-  Protean_ooo.Gc_tune.tune ();
-  if log_json then Tlog.set_json true;
-  (* Escape hatches, exported to the environment so spawned --shards
-     workers (which re-read it at startup) run the same mode. *)
-  if no_skip_ahead then begin
-    Protean_ooo.Pipeline.set_skip_ahead false;
-    Unix.putenv "PROTEAN_NO_SKIP_AHEAD" "1"
-  end;
-  if no_shared_frontend then begin
-    Protean_harness.Experiment.share_frontend := false;
-    Unix.putenv "PROTEAN_NO_SHARED_FRONTEND" "1"
-  end;
-  let tele = { Report.metrics_out; trace_out; flamegraph_out; attr_out } in
-  Report.enable ~worker:(worker || connect <> None) tele;
+let run (cli : Cli.t) table_ii defense contract programs inputs adversary seed
+    core_width squash_bug gadget timeout resume inject inject_worker
+    check_certs pass_fault =
+  let jobs = cli.Cli.jobs and tele = cli.Cli.tele in
   if check_certs then Certify.enabled := true;
-  let jobs = if jobs = 0 then Parallel.default_jobs () else max 1 jobs in
-  let shards = max 1 shards in
-  if worker || connect <> None then begin
+  if Cli.is_worker cli then begin
     (* Spawned by a supervisor (--worker: frames on stdin/stdout) or
        dialing one remotely (--connect); cell key = program index. *)
     let d = Defense.find defense in
@@ -696,36 +578,17 @@ let run table_ii defense contract programs inputs adversary seed core_width
       campaign_of ~gadget contract adversary programs inputs seed squash_bug
         timeout core_width check_certs pass_fault
     in
-    let compute key =
-      fuzz_cell ~cert_poison:check_certs campaign d (int_of_string key)
-    in
-    match connect with
-    | None -> Shard.worker_main ~jobs ~compute ()
-    | Some addr -> Shard.connect_worker ~jobs ~addr ~token ~compute ()
+    Cli.serve cli ~compute:(fun key ->
+        fuzz_cell ~cert_poison:check_certs campaign d (int_of_string key))
   end
   else begin
-    let pool =
-      Option.map
-        (fun addr ->
-          {
-            Supervisor.default_pool_config with
-            Supervisor.pl_listen = addr;
-            pl_token = token;
-          })
-        listen
-    in
-    let http =
-      Option.bind metrics_listen (fun addr ->
-          Report.listen_metrics ~src:"fuzz" addr (fun () ->
-              Metrics.to_prometheus
-                (Metrics.merge (Metrics.snapshot fuzz_reg)
-                   (Metrics.snapshot Report.runtime))))
-    in
     let failed =
-      Fun.protect
-        ~finally:(fun () ->
-          Option.iter Protean_telemetry.Http_listener.close http)
+      Cli.with_metrics cli ~src:"fuzz"
         (fun () ->
+          Metrics.to_prometheus
+            (Metrics.merge (Metrics.snapshot fuzz_reg)
+               (Metrics.snapshot Report.runtime)))
+        (fun http ->
           if table_ii then begin
             Tables.table_ii ~jobs ~programs ~inputs ();
             false
@@ -738,8 +601,7 @@ let run table_ii defense contract programs inputs adversary seed core_width
               campaign_of ~gadget contract adversary programs inputs seed
                 squash_bug timeout core_width check_certs pass_fault
             in
-            run_campaign ~tele ~jobs ~shards ~inject_worker ?pool ?http
-              campaign d contract resume
+            run_campaign cli ~inject_worker ?http campaign d contract resume
           end)
     in
     if Report.wanted tele then write_telemetry tele;
@@ -751,14 +613,9 @@ let cmd =
   Cmd.v
     (Cmd.info "protean-fuzz" ~doc)
     Term.(
-      const run $ table_ii_arg $ defense_arg $ contract_arg $ programs_arg
-      $ inputs_arg $ adversary_arg $ seed_arg $ core_width_arg
-      $ squash_bug_arg $ gadget_arg $ timeout_arg
-      $ resume_arg $ inject_arg $ jobs_arg $ shards_arg $ worker_arg
-      $ inject_worker_arg $ check_certs_arg $ no_skip_ahead_arg
-      $ no_shared_frontend_arg $ inject_pass_fault_arg
-      $ metrics_out_arg $ trace_out_arg
-      $ flamegraph_out_arg $ attr_out_arg $ log_json_arg $ listen_arg
-      $ connect_arg $ token_arg $ metrics_listen_arg)
+      const run $ Cli.term $ table_ii_arg $ defense_arg $ contract_arg
+      $ programs_arg $ inputs_arg $ adversary_arg $ seed_arg $ core_width_arg
+      $ squash_bug_arg $ gadget_arg $ timeout_arg $ resume_arg $ inject_arg
+      $ inject_worker_arg $ check_certs_arg $ inject_pass_fault_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -1,16 +1,20 @@
-(* Crash-isolated multi-process shard supervisor.
+(* Crash-isolated shard supervisor.
 
-   [run] shards a deterministic cell list across N worker processes
-   (exec'd copies of the current CLI in [--worker] mode, speaking
-   {!Shard}'s length-prefixed JSON frame protocol on stdin/stdout) and
-   owns robustness end-to-end:
+   One dispatch loop leases batches of a deterministic cell list to
+   worker slots speaking {!Shard}'s length-prefixed JSON frame
+   protocol.  Slots come from one of two sources: [run] spawns a copy
+   of the current CLI in [--worker] mode per lease (frames on
+   stdin/stdout), and [run_pool] accepts workers that dial in over TCP
+   and serve lease after lease.  The loop owns robustness end-to-end,
+   whatever the source:
 
-   - liveness: per-worker heartbeat deadlines (no frame for
-     [heartbeat] seconds) and a wall-clock budget per spawn; an expired
-     worker is SIGKILLed and its *uncompleted* cells requeued — results
-     streamed before the kill are kept;
-   - retry: a failed shard (crash, kill, protocol corruption) is
-     re-spawned with exponential backoff;
+   - liveness: per-lease heartbeat deadlines (no frame for
+     [heartbeat] seconds) and a wall-clock budget; an expired worker
+     is killed or dropped and its *uncompleted* cells requeued —
+     results streamed before that are kept;
+   - retry: a failed lease (crash, kill, disconnect, protocol
+     corruption, a result for a cell outside the lease) is requeued
+     with exponential backoff;
    - bisection: a shard that keeps failing is split in half until the
      failure is isolated to a single cell, which is reported as a
      structured fault — in the style of [Pipeline.Sim_fault] — instead
@@ -20,8 +24,9 @@
      deterministically by cell id, so a killed *supervisor* resumes and
      the merged output is byte-identical to a serial run;
    - degradation: when processes cannot be spawned (Windows,
-     PROTEAN_NO_SPAWN=1, exec failure) the whole batch falls back to
-     in-process [Parallel.map].
+     PROTEAN_NO_SPAWN=1, exec failure), or no dial-in worker takes a
+     lease within the accept budget, the rest of the batch falls back
+     to the in-process [fallback].
 
    Shard lifecycle (spawn / heartbeat / retry / bisect / kill / poison)
    is surfaced through the same observer pattern as the pipeline's hook
@@ -155,7 +160,7 @@ let default_config =
 
 (* Worker-pool mode ([run_pool]): instead of exec'ing local workers the
    supervisor listens on TCP and remote workers dial in, so a campaign
-   spans machines.  [cfg.shards] then bounds the number of in-flight
+   spans machines.  [cfg.shards] then sets the number of initial
    *leases* (work batches), not processes.  Dial-in connections must
    present the campaign [token] and a matching protocol version before
    they are leased any work. *)
@@ -352,7 +357,7 @@ module Checkpoint = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* The supervision loop                                                *)
+(* The dispatch loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type pending = {
@@ -361,20 +366,6 @@ type pending = {
   p_cells : Shard.cell list;
   p_attempt : int;
   p_not_before : float;
-}
-
-type active = {
-  a_shard : int;
-  a_origin : int;
-  a_cells : Shard.cell list;
-  a_attempt : int;
-  a_tr : transport;
-  a_dec : Shard.Decoder.t;
-  mutable a_errbuf : string;
-  mutable a_last : float; (* last frame (liveness) *)
-  a_spawned : float;
-  mutable a_done : bool; (* F_done received *)
-  mutable a_failed : string option; (* kill/protocol failure reason *)
 }
 
 let split_shards shards (cells : Shard.cell list) =
@@ -388,12 +379,10 @@ let split_shards shards (cells : Shard.cell list) =
       Array.to_list (Array.sub arr lo (hi - lo)))
   |> List.filter (fun l -> l <> [])
 
-(* Result ledger shared by the pipe supervisor ([run]) and the TCP
-   worker pool ([run_pool]): which cells are resolved, the per-origin
-   completion lists that back checkpoints, and the final deterministic
-   merge.  Commutative bookkeeping — results can arrive from any
-   worker in any order and the merge is still byte-identical to a
-   serial run. *)
+(* Result ledger: which cells are resolved, the per-origin completion
+   lists that back checkpoints, and the final deterministic merge.
+   Commutative bookkeeping — results can arrive from any worker in any
+   order and the merge is still byte-identical to a serial run. *)
 module Ledger = struct
   type t = {
     g_bus : bus;
@@ -492,17 +481,92 @@ module Ledger = struct
       t.g_cells
 end
 
-(* Failure disposition shared by pipe shards and pool leases: retry
-   with exponential backoff while the attempt budget lasts, then
-   bisect a multi-cell batch towards the failing cell, and poison a
-   single cell that keeps failing. *)
-let requeue_failed ~bus ~cfg ~(ledger : Ledger.t) ~pending ~fresh_shard ~now
-    ~shard ~origin ~cells ~attempt reason =
-  let rest =
-    List.filter (fun c -> not (Ledger.have ledger c.Shard.c_id)) cells
+(* One worker the loop selects on: a transport plus its frame decoder,
+   liveness clock, handshake state and at most one lease, so a lost
+   slot forfeits exactly one batch. *)
+type slot = {
+  sl_id : int; (* a spawned slot's shard, or a dial-in's accept order *)
+  sl_peer : string;
+  sl_tr : transport;
+  sl_dec : Shard.Decoder.t;
+  mutable sl_authed : bool;
+  mutable sl_lease : pending option;
+  mutable sl_done : bool; (* the worker reported its lease complete *)
+  mutable sl_last : float; (* last bytes received *)
+  mutable sl_leased_at : float;
+  mutable sl_errbuf : string;
+}
+
+type loop = {
+  l_bus : bus;
+  l_cfg : config;
+  l_ledger : Ledger.t;
+  mutable l_slots : slot list;
+  mutable l_pending : pending list;
+  mutable l_next_shard : int;
+  mutable l_progress : float; (* last connect, lease or result *)
+}
+
+(* Where slots come from.  Everything that knows about pipes, processes
+   or sockets lives behind these fields. *)
+type source = {
+  src_fds : Unix.file_descr list; (* selected on besides the slots *)
+  src_accept : Unix.file_descr list -> unit; (* given the readable set *)
+  src_take : pending -> slot option; (* a free slot for this lease *)
+  src_granted : slot -> pending -> unit; (* announce the lease *)
+  src_hello : slot -> Shard.frame -> (unit, string) result;
+      (* a frame from an unauthenticated slot *)
+  src_done : slot -> unit; (* the lease's F_done arrived *)
+  src_release : slot -> killed:bool -> string -> string;
+      (* the slot leaves the loop: kill (if [killed]), reap or close,
+         and say why any cells it leaves unresulted failed *)
+  src_patience : float;
+      (* s with work pending but no lease held before giving up *)
+  src_shutdown : unit -> unit; (* the loop ended, normally or not *)
+}
+
+(* Raised by a source that cannot go on; the loop degrades to the
+   in-process fallback for everything not yet computed. *)
+exception Gave_up of string
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let fresh_shard lp =
+  let s = lp.l_next_shard in
+  lp.l_next_shard <- s + 1;
+  s
+
+let add_slot lp ?(peer = "") ~id ~authed tr =
+  let t = Unix.gettimeofday () in
+  let s =
+    {
+      sl_id = id;
+      sl_peer = peer;
+      sl_tr = tr;
+      sl_dec = Shard.Decoder.create ();
+      sl_authed = authed;
+      sl_lease = None;
+      sl_done = false;
+      sl_last = t;
+      sl_leased_at = t;
+      sl_errbuf = "";
+    }
   in
+  lp.l_slots <- s :: lp.l_slots;
+  s
+
+(* Failure disposition: retry with exponential backoff while the
+   attempt budget lasts, then bisect a multi-cell batch towards the
+   failing cell, and poison a single cell that keeps failing.  Cells
+   already resulted are never requeued. *)
+let requeue lp (p : pending) reason =
+  let cfg = lp.l_cfg and now = Unix.gettimeofday () in
+  let rest =
+    List.filter (fun c -> not (Ledger.have lp.l_ledger c.Shard.c_id)) p.p_cells
+  in
+  let push q = lp.l_pending <- lp.l_pending @ q in
   if rest = [] then ()
-  else if attempt >= cfg.max_attempts then
+  else if p.p_attempt >= cfg.max_attempts then
     if List.length rest > 1 then begin
       (* Bisect: narrow the crashing batch towards the poisoned cell;
          each half restarts its attempt budget. *)
@@ -510,678 +574,515 @@ let requeue_failed ~bus ~cfg ~(ledger : Ledger.t) ~pending ~fresh_shard ~now
       let mid = Array.length arr / 2 in
       let left = Array.to_list (Array.sub arr 0 mid) in
       let right = Array.to_list (Array.sub arr mid (Array.length arr - mid)) in
-      emit bus
-        (Bisect { shard; left = List.length left; right = List.length right });
+      emit lp.l_bus
+        (Bisect
+           {
+             shard = p.p_shard;
+             left = List.length left;
+             right = List.length right;
+           });
       let mk cells =
         {
-          p_shard = fresh_shard ();
-          p_origin = origin;
+          p_shard = fresh_shard lp;
+          p_origin = p.p_origin;
           p_cells = cells;
           p_attempt = 1;
-          p_not_before = now () +. cfg.backoff;
+          p_not_before = now +. cfg.backoff;
         }
       in
-      pending := !pending @ [ mk left; mk right ]
+      push [ mk left; mk right ]
     end
-    else Ledger.poison ledger ~attempts:attempt (List.hd rest).Shard.c_id reason
+    else
+      Ledger.poison lp.l_ledger ~attempts:p.p_attempt (List.hd rest).Shard.c_id
+        reason
   else begin
-    let delay = cfg.backoff *. (2.0 ** float_of_int (attempt - 1)) in
-    emit bus (Retry { shard; attempt = attempt + 1; delay });
-    pending :=
-      !pending
-      @ [
-          {
-            p_shard = shard;
-            p_origin = origin;
-            p_cells = rest;
-            p_attempt = attempt + 1;
-            p_not_before = now () +. delay;
-          };
-        ]
+    let delay = cfg.backoff *. (2.0 ** float_of_int (p.p_attempt - 1)) in
+    emit lp.l_bus
+      (Retry { shard = p.p_shard; attempt = p.p_attempt + 1; delay });
+    push
+      [
+        {
+          p with
+          p_cells = rest;
+          p_attempt = p.p_attempt + 1;
+          p_not_before = now +. delay;
+        };
+      ]
   end
 
-let run ?(bus = create_bus ()) ?spawn ?http (cfg : config)
-    ~(worker_argv : string array)
-    ~(fallback : Shard.cell list -> (int * Json.t) list)
-    (cells : Shard.cell list) : (int * outcome) list =
-  Shard.ignore_sigpipe ();
-  let ledger = Ledger.create ~bus ~checkpoint_dir:cfg.checkpoint_dir cells in
-  let record_ok = Ledger.record_ok ledger in
-  let save_checkpoint = Ledger.save_checkpoint ledger in
-  let finish () = Ledger.finish ledger in
-  let run_fallback reason remaining =
-    emit bus (Fallback { reason });
-    List.iter (fun (id, r) -> record_ok ~origin:0 id r) (fallback remaining);
-    save_checkpoint 0
-  in
-  if cells = [] then finish ()
-  else begin
-    (* Resume from per-shard checkpoints, when given. *)
-    Ledger.load_checkpoints ledger;
-    let remaining = Ledger.remaining ledger in
-    if remaining = [] then finish ()
-    else if not (Shard.can_spawn ()) then begin
-      run_fallback "process spawning unavailable" remaining;
-      finish ()
+(* The slot's lease is over: checkpoint its origin and requeue whatever
+   it left unresulted, blaming [reason]. *)
+let end_lease lp s reason =
+  match s.sl_lease with
+  | None -> ()
+  | Some p ->
+      s.sl_lease <- None;
+      s.sl_done <- false;
+      Ledger.save_checkpoint lp.l_ledger p.p_origin;
+      requeue lp p reason
+
+(* The lease a result for cell [id] belongs to.  A result outside the
+   slot's lease is corruption, never a result. *)
+let lease_of s id =
+  match s.sl_lease with
+  | Some p when List.exists (fun c -> c.Shard.c_id = id) p.p_cells -> p
+  | _ -> Shard.protocol_error "result for cell %d outside the lease" id
+
+(* Grant due leases, enforce deadlines, select over the slots, the
+   source's fds and the /metrics fds, and handle what arrives — until
+   nothing is pending or leased.  Returns why the source gave up, if
+   it did. *)
+let dispatch lp src ~http =
+  let cfg = lp.l_cfg and bus = lp.l_bus in
+  let now = Unix.gettimeofday in
+  let lose s ~killed reason =
+    if List.memq s lp.l_slots then begin
+      lp.l_slots <- List.filter (fun x -> x != s) lp.l_slots;
+      end_lease lp s (src.src_release s ~killed reason)
     end
-    else begin
-      let next_shard = ref 0 in
-      let fresh_shard () =
-        let s = !next_shard in
-        incr next_shard;
-        s
-      in
-      let now () = Unix.gettimeofday () in
-      let pending : pending list ref =
-        ref
-          (List.map
-             (fun cs ->
-               let s = fresh_shard () in
-               {
-                 p_shard = s;
-                 p_origin = s;
-                 p_cells = cs;
-                 p_attempt = 1;
-                 p_not_before = 0.0;
-               })
-             (split_shards cfg.shards remaining))
-      in
-      let active : active list ref = ref [] in
-      let aborted = ref None in
-      let spawn_one (p : pending) =
-        let env_fault =
-          match cfg.inject with
-          | None -> None
-          | Some m ->
-              if Fault_inject.worker_mode_persistent m then
-                Some (Fault_inject.worker_mode_name m)
-              else if p.p_shard = 0 && p.p_attempt = 1 then
-                Some (Fault_inject.worker_mode_name m)
-              else None
+  in
+  let leased s = s.sl_lease <> None in
+  let grant () =
+    let t = now () in
+    let due, later =
+      List.partition (fun p -> p.p_not_before <= t) lp.l_pending
+    in
+    lp.l_pending <- later;
+    let waiting =
+      List.filter
+        (fun p ->
+          match src.src_take p with
+          | None -> true
+          | Some s ->
+              s.sl_lease <- Some p;
+              s.sl_leased_at <- t;
+              s.sl_last <- t;
+              lp.l_progress <- t;
+              src.src_granted s p;
+              (try Shard.write_frame s.sl_tr.t_write (Shard.F_work p.p_cells)
+               with Unix.Unix_error _ ->
+                 lose s ~killed:true "write failed at lease grant");
+              false)
+        due
+    in
+    lp.l_pending <- waiting @ lp.l_pending
+  in
+  let handle_frame s frame =
+    if not s.sl_authed then
+      match src.src_hello s frame with
+      | Ok () -> ()
+      | Error reason -> lose s ~killed:true reason
+    else
+      let shard = match s.sl_lease with Some p -> p.p_shard | None -> s.sl_id in
+      match frame with
+      | Shard.F_hb cell -> emit bus (Heartbeat { shard; cell })
+      | Shard.F_result (id, r) ->
+          let p = lease_of s id in
+          Ledger.record_ok lp.l_ledger ~origin:p.p_origin id r;
+          lp.l_progress <- now ();
+          emit bus (Cell_done { shard; cell = id })
+      | Shard.F_cellfault { fc_id; fc_reason } ->
+          (* The worker caught the failure itself: a structured fault,
+             final immediately — no retry or bisection needed. *)
+          let p = lease_of s fc_id in
+          Ledger.poison lp.l_ledger ~attempts:p.p_attempt fc_id fc_reason;
+          lp.l_progress <- now ();
+          emit bus (Cell_fault { shard; cell = fc_id; reason = fc_reason })
+      | Shard.F_log line -> emit bus (Worker_log { shard; line })
+      | Shard.F_done ->
+          if leased s then begin
+            s.sl_done <- true;
+            src.src_done s
+          end
+      | Shard.F_hello _ | Shard.F_work _ | Shard.F_exit | Shard.F_welcome _
+      | Shard.F_reject _ ->
+          ()
+  in
+  let buf = Bytes.create 65536 in
+  let drain_err s fd =
+    match
+      Shard.retry_intr (fun () -> Unix.read fd buf 0 (Bytes.length buf))
+    with
+    | 0 -> ()
+    | k ->
+        s.sl_errbuf <- s.sl_errbuf ^ Bytes.sub_string buf 0 k;
+        let rec lines () =
+          match String.index_opt s.sl_errbuf '\n' with
+          | Some i ->
+              let line = String.sub s.sl_errbuf 0 i in
+              s.sl_errbuf <-
+                String.sub s.sl_errbuf (i + 1)
+                  (String.length s.sl_errbuf - i - 1);
+              if line <> "" then
+                emit bus (Worker_stderr { shard = s.sl_id; line });
+              lines ()
+          | None -> ()
         in
-        let tr =
+        lines ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  let read s =
+    match
+      Shard.retry_intr (fun () ->
+          Unix.read s.sl_tr.t_read buf 0 (Bytes.length buf))
+    with
+    | 0 -> lose s ~killed:false "connection closed"
+    | k -> (
+        s.sl_last <- now ();
+        Shard.Decoder.feed s.sl_dec buf 0 k;
+        try
+          let rec pop () =
+            if List.memq s lp.l_slots then
+              match Shard.Decoder.next s.sl_dec with
+              | Some f ->
+                  handle_frame s f;
+                  pop ()
+              | None -> ()
+          in
+          pop ()
+        with Json.Parse msg | Shard.Protocol msg ->
+          lose s ~killed:true ("protocol corruption: " ^ msg))
+    | exception Unix.Unix_error _ -> lose s ~killed:false "read error"
+  in
+  let deadlines t =
+    List.iter
+      (fun s ->
+        if leased s && t -. s.sl_last > cfg.heartbeat then
+          lose s ~killed:true
+            (Printf.sprintf "heartbeat deadline (%.0fs) expired" cfg.heartbeat)
+        else if leased s && t -. s.sl_leased_at > cfg.wall then
+          lose s ~killed:true
+            (Printf.sprintf "wall-clock budget (%.0fs) expired" cfg.wall)
+        else if
+          (not s.sl_authed) && t -. s.sl_last > Float.min cfg.heartbeat 10.0
+        then lose s ~killed:true "handshake deadline expired")
+      lp.l_slots
+  in
+  let timeout t =
+    let next =
+      List.fold_left
+        (fun acc s ->
+          if leased s then
+            min acc
+              (min (s.sl_last +. cfg.heartbeat) (s.sl_leased_at +. cfg.wall))
+          else acc)
+        infinity lp.l_slots
+    in
+    let next =
+      List.fold_left
+        (fun acc p ->
+          if p.p_not_before > t then min acc p.p_not_before else acc)
+        next lp.l_pending
+    in
+    Float.max 0.01 (Float.min 0.25 (next -. t))
+  in
+  let aborted = ref None in
+  Fun.protect ~finally:src.src_shutdown (fun () ->
+      while
+        (lp.l_pending <> [] || List.exists leased lp.l_slots) && !aborted = None
+      do
+        (try grant () with Gave_up reason -> aborted := Some reason);
+        let t = now () in
+        deadlines t;
+        if
+          !aborted = None && lp.l_pending <> []
+          && (not (List.exists leased lp.l_slots))
+          && t -. lp.l_progress > src.src_patience
+        then
+          aborted :=
+            Some
+              (Printf.sprintf "no worker took a lease for %.0fs"
+                 src.src_patience);
+        if !aborted = None then begin
+          let slots = lp.l_slots in
+          let fds =
+            List.concat_map
+              (fun s -> s.sl_tr.t_read :: Option.to_list s.sl_tr.t_err)
+              slots
+            @ src.src_fds
+            @ match http with Some h -> Http_listener.fds h | None -> []
+          in
+          let timeout = timeout t in
+          if fds = [] then Unix.sleepf timeout
+          else begin
+            let readable, _, _ =
+              Shard.retry_intr (fun () -> Unix.select fds [] [] timeout)
+            in
+            Option.iter (fun h -> Http_listener.handle h readable) http;
+            src.src_accept readable;
+            List.iter
+              (fun s ->
+                (* [s] may have been lost earlier this round. *)
+                if List.memq s lp.l_slots then begin
+                  (match s.sl_tr.t_err with
+                  | Some e when List.memq e readable -> drain_err s e
+                  | _ -> ());
+                  if List.memq s.sl_tr.t_read readable then read s
+                end)
+              slots
+          end
+        end
+      done);
+  !aborted
+
+(* ------------------------------------------------------------------ *)
+(* Worker sources                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Spawned workers: one process per lease, born authenticated, asked to
+   exit once the lease is done and judged when reaped.  [cfg.shards]
+   caps live processes. *)
+let spawn_source lp ~spawn ~worker_argv =
+  let bus = lp.l_bus and cfg = lp.l_cfg in
+  let take (p : pending) =
+    if List.length lp.l_slots >= cfg.shards then None
+    else begin
+      let env_fault =
+        match cfg.inject with
+        | Some m
+          when Fault_inject.worker_mode_persistent m
+               || (p.p_shard = 0 && p.p_attempt = 1) ->
+            Some (Fault_inject.worker_mode_name m)
+        | _ -> None
+      in
+      let tr =
+        try
           match spawn with
           | Some f -> f ~shard:p.p_shard ~attempt:p.p_attempt ~env_fault
           | None -> spawn_exec ~argv:worker_argv ~env_fault
-        in
+        with e -> raise (Gave_up ("spawn failed: " ^ Printexc.to_string e))
+      in
+      Some (add_slot lp ~id:p.p_shard ~authed:true tr)
+    end
+  in
+  let reap s =
+    close_quietly s.sl_tr.t_write;
+    let status = s.sl_tr.t_wait () in
+    close_quietly s.sl_tr.t_read;
+    Option.iter close_quietly s.sl_tr.t_err;
+    status
+  in
+  let release s ~killed reason =
+    if killed then begin
+      emit bus (Kill { shard = s.sl_id; reason });
+      s.sl_tr.t_kill ()
+    end;
+    let status, clean = reap s in
+    let truncated = Shard.Decoder.pending_bytes s.sl_dec > 0 in
+    let all_resulted =
+      match s.sl_lease with
+      | Some p ->
+          List.for_all (fun c -> Ledger.have lp.l_ledger c.Shard.c_id) p.p_cells
+      | None -> true
+    in
+    let ok =
+      (not killed) && s.sl_done && clean && all_resulted && not truncated
+    in
+    emit bus (Worker_exit { shard = s.sl_id; status; ok });
+    if killed then reason
+    else if truncated then Printf.sprintf "worker died mid-frame (%s)" status
+    else if not (s.sl_done && clean) then
+      Printf.sprintf "worker crashed (%s)" status
+    else "worker exited without completing its cells"
+  in
+  {
+    src_fds = [];
+    src_accept = ignore;
+    src_take = take;
+    src_granted =
+      (fun s p ->
         emit bus
           (Spawn
              {
                shard = p.p_shard;
                attempt = p.p_attempt;
-               pid = tr.t_pid;
+               pid = s.sl_tr.t_pid;
                cells = List.length p.p_cells;
-             });
-        Shard.write_frame tr.t_write (Shard.F_work p.p_cells);
-        active :=
-          {
-            a_shard = p.p_shard;
-            a_origin = p.p_origin;
-            a_cells = p.p_cells;
-            a_attempt = p.p_attempt;
-            a_tr = tr;
-            a_dec = Shard.Decoder.create ();
-            a_errbuf = "";
-            a_last = now ();
-            a_spawned = now ();
-            a_done = false;
-            a_failed = None;
-          }
-          :: !active
-      in
-      let requeue (a : active) reason =
-        requeue_failed ~bus ~cfg ~ledger ~pending ~fresh_shard ~now
-          ~shard:a.a_shard ~origin:a.a_origin ~cells:a.a_cells
-          ~attempt:a.a_attempt reason
-      in
-      let finalize (a : active) =
-        active := List.filter (fun x -> x != a) !active;
-        (try Unix.close a.a_tr.t_write with Unix.Unix_error _ -> ());
-        let status, clean = a.a_tr.t_wait () in
-        (try Unix.close a.a_tr.t_read with Unix.Unix_error _ -> ());
-        (match a.a_tr.t_err with
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ());
-        let all_resulted =
-          List.for_all (fun c -> Ledger.have ledger c.Shard.c_id) a.a_cells
-        in
-        let truncated = Shard.Decoder.pending_bytes a.a_dec > 0 in
-        let ok =
-          a.a_failed = None && a.a_done && clean && all_resulted
-          && not truncated
-        in
-        emit bus (Worker_exit { shard = a.a_shard; status; ok });
-        save_checkpoint a.a_origin;
-        if not ok then begin
-          let reason =
-            match a.a_failed with
-            | Some r -> r
-            | None ->
-                if truncated then
-                  Printf.sprintf "worker died mid-frame (%s)" status
-                else if not (a.a_done && clean) then
-                  Printf.sprintf "worker crashed (%s)" status
-                else "worker exited without completing its cells"
+             }));
+    src_hello = (fun _ _ -> Ok ());
+    src_done =
+      (fun s ->
+        (* Ask the worker to exit cleanly; EOF follows. *)
+        try Shard.write_frame s.sl_tr.t_write Shard.F_exit
+        with Unix.Unix_error _ -> ());
+    src_release = release;
+    src_patience = infinity;
+    src_shutdown =
+      (fun () ->
+        (* Never leak workers, whatever ended the loop. *)
+        List.iter
+          (fun s ->
+            s.sl_tr.t_kill ();
+            ignore (reap s))
+          lp.l_slots);
+  }
+
+(* Dial-in workers: accepted TCP connections that must present the
+   campaign token and protocol version before they are leased work,
+   then go idle between leases.  A connection that ends, stalls or
+   corrupts the stream forfeits its lease. *)
+let listen_source lp ~pool =
+  let bus = lp.l_bus in
+  let lsock, port = Shard.listen_socket pool.pl_listen in
+  emit bus (Listening { addr = pool.pl_listen; port });
+  let next_worker = ref 0 in
+  let accept readable =
+    if List.memq lsock readable then
+      match Shard.retry_intr (fun () -> Unix.accept lsock) with
+      | fd, peer ->
+          let tr =
+            {
+              t_pid = None;
+              t_read = fd;
+              t_write = fd;
+              t_err = None;
+              t_kill = ignore;
+              t_wait = (fun () -> ("closed", true));
+            }
           in
-          requeue a reason
-        end
-      in
-      let kill (a : active) reason =
-        emit bus (Kill { shard = a.a_shard; reason });
-        a.a_failed <- Some reason;
-        a.a_tr.t_kill ();
-        finalize a
-      in
-      let handle_frame (a : active) = function
-        | Shard.F_hb cell ->
-            emit bus (Heartbeat { shard = a.a_shard; cell })
-        | Shard.F_result (id, r) ->
-            record_ok ~origin:a.a_origin id r;
-            emit bus (Cell_done { shard = a.a_shard; cell = id })
-        | Shard.F_cellfault { fc_id; fc_reason } ->
-            (* The worker caught the failure itself: a structured fault,
-               final immediately — no retry or bisection needed. *)
-            Ledger.poison ledger ~attempts:a.a_attempt fc_id fc_reason;
-            emit bus
-              (Cell_fault { shard = a.a_shard; cell = fc_id; reason = fc_reason })
-        | Shard.F_log line -> emit bus (Worker_log { shard = a.a_shard; line })
-        | Shard.F_done ->
-            a.a_done <- true;
-            (* Ask the worker to exit cleanly; EOF follows. *)
-            (try Shard.write_frame a.a_tr.t_write Shard.F_exit
-             with Unix.Unix_error _ -> ())
-        | Shard.F_work _ | Shard.F_exit | Shard.F_hello _ | Shard.F_welcome _
-        | Shard.F_reject _ ->
-            ()
-      in
-      let buf = Bytes.create 65536 in
-      let drain_err (a : active) =
-        match a.a_tr.t_err with
-        | None -> ()
-        | Some fd -> (
-            match Shard.retry_intr (fun () -> Unix.read fd buf 0 (Bytes.length buf)) with
-            | 0 -> ()
-            | k ->
-                a.a_errbuf <- a.a_errbuf ^ Bytes.sub_string buf 0 k;
-                let rec lines () =
-                  match String.index_opt a.a_errbuf '\n' with
-                  | Some i ->
-                      let line = String.sub a.a_errbuf 0 i in
-                      a.a_errbuf <-
-                        String.sub a.a_errbuf (i + 1)
-                          (String.length a.a_errbuf - i - 1);
-                      if line <> "" then
-                        emit bus (Worker_stderr { shard = a.a_shard; line });
-                      lines ()
-                  | None -> ()
-                in
-                lines ()
-            | exception Unix.Unix_error _ -> ())
-      in
-      (try
-         while (!pending <> [] || !active <> []) && !aborted = None do
-           let t = now () in
-           (* Spawn what is due, up to the concurrency cap. *)
-           let due, later =
-             List.partition (fun p -> p.p_not_before <= t) !pending
-           in
-           let slots = cfg.shards - List.length !active in
-           let to_spawn, back =
-             let rec take k = function
-               | x :: xs when k > 0 ->
-                   let a, b = take (k - 1) xs in
-                   (x :: a, b)
-               | xs -> ([], xs)
-             in
-             take (max 0 slots) due
-           in
-           pending := back @ later;
-           (try List.iter spawn_one to_spawn
-            with e ->
-              (* exec failed: degrade to in-process execution for
-                 everything not yet computed. *)
-              List.iter (fun (a : active) -> a.a_tr.t_kill ()) !active;
-              List.iter (fun (a : active) -> ignore (a.a_tr.t_wait ())) !active;
-              active := [];
-              pending := [];
-              aborted := Some (Printexc.to_string e));
-           if !aborted = None then begin
-             (* Deadlines. *)
-             List.iter
-               (fun (a : active) ->
-                 if t -. a.a_last > cfg.heartbeat then
-                   kill a
-                     (Printf.sprintf "heartbeat deadline (%.0fs) expired"
-                        cfg.heartbeat)
-                 else if t -. a.a_spawned > cfg.wall then
-                   kill a
-                     (Printf.sprintf "wall-clock budget (%.0fs) expired" cfg.wall))
-               (List.filter (fun a -> a.a_failed = None) !active);
-             (* Wait for frames (and, when live-scraping is enabled,
-                /metrics requests on the same select). *)
-             let http_fds =
-               match http with Some h -> Http_listener.fds h | None -> []
-             in
-             let fds =
-               List.concat_map
-                 (fun (a : active) ->
-                   a.a_tr.t_read
-                   :: (match a.a_tr.t_err with Some e -> [ e ] | None -> []))
-                 !active
-               @ http_fds
-             in
-             let timeout =
-               let next_deadline =
-                 List.fold_left
-                   (fun acc (a : active) ->
-                     min acc
-                       (min (a.a_last +. cfg.heartbeat) (a.a_spawned +. cfg.wall)))
-                   infinity !active
-               in
-               let next_spawn =
-                 List.fold_left
-                   (fun acc p -> min acc p.p_not_before)
-                   infinity !pending
-               in
-               let dt = min next_deadline next_spawn -. now () in
-               if dt = infinity then 0.5 else Float.max 0.01 (Float.min dt 0.5)
-             in
-             if fds = [] then (if !pending <> [] then Unix.sleepf timeout)
-             else begin
-               match
-                 Shard.retry_intr (fun () -> Unix.select fds [] [] timeout)
-               with
-               | readable, _, _ ->
-                   (match http with
-                   | Some h -> Http_listener.handle h readable
-                   | None -> ());
-                   List.iter
-                     (fun (a : active) ->
-                       if
-                         List.exists (fun x -> x == a) !active
-                         (* may have been killed this round *)
-                       then begin
-                         (match a.a_tr.t_err with
-                         | Some e when List.memq e readable -> drain_err a
-                         | _ -> ());
-                         if List.memq a.a_tr.t_read readable then begin
-                           match
-                             Shard.retry_intr (fun () ->
-                                 Unix.read a.a_tr.t_read buf 0 (Bytes.length buf))
-                           with
-                           | 0 -> finalize a (* EOF *)
-                           | k -> (
-                               a.a_last <- now ();
-                               Shard.Decoder.feed a.a_dec buf 0 k;
-                               try
-                                 let rec pop () =
-                                   match Shard.Decoder.next a.a_dec with
-                                   | Some f ->
-                                       handle_frame a f;
-                                       pop ()
-                                   | None -> ()
-                                 in
-                                 pop ()
-                               with
-                               | Json.Parse msg ->
-                                   kill a ("protocol corruption: " ^ msg)
-                               | Shard.Protocol msg ->
-                                   kill a ("protocol corruption: " ^ msg))
-                           | exception Unix.Unix_error _ -> finalize a
-                         end
-                       end)
-                     (List.filter (fun _ -> true) !active)
-             end
-           end
-         done
-       with e ->
-         (* Never leak workers, whatever happens in the loop. *)
-         List.iter
-           (fun (a : active) ->
-             a.a_tr.t_kill ();
-             ignore (a.a_tr.t_wait ()))
-           !active;
-         raise e);
-      (match !aborted with
-      | Some reason ->
-          run_fallback ("spawn failed: " ^ reason) (Ledger.remaining ledger)
-      | None -> ());
-      finish ()
-    end
-  end
+          ignore
+            (add_slot lp ~peer:(Shard.string_of_sockaddr peer)
+               ~id:!next_worker ~authed:false tr);
+          incr next_worker
+      | exception Unix.Unix_error _ -> ()
+  in
+  let reject s reason =
+    emit bus (Worker_rejected { peer = s.sl_peer; reason });
+    (try Shard.write_frame s.sl_tr.t_write (Shard.F_reject reason)
+     with Unix.Unix_error _ -> ());
+    Error reason
+  in
+  let hello s = function
+    | Shard.F_hello { h_version; _ } when h_version <> Shard.protocol_version ->
+        reject s
+          (Printf.sprintf "protocol version %d (supervisor speaks %d)" h_version
+             Shard.protocol_version)
+    | Shard.F_hello { h_token; _ } when h_token <> pool.pl_token ->
+        reject s "bad campaign token"
+    | Shard.F_hello _ -> (
+        match
+          Shard.write_frame s.sl_tr.t_write
+            (Shard.F_welcome Shard.protocol_version)
+        with
+        | () ->
+            s.sl_authed <- true;
+            lp.l_progress <- Unix.gettimeofday ();
+            emit bus (Worker_connected { worker = s.sl_id; peer = s.sl_peer });
+            Ok ()
+        | exception Unix.Unix_error _ -> Error "write failed at handshake")
+    | _ -> reject s "frame before handshake"
+  in
+  {
+    src_fds = [ lsock ];
+    src_accept = accept;
+    src_take =
+      (fun _ ->
+        List.find_opt (fun s -> s.sl_authed && s.sl_lease = None) lp.l_slots);
+    src_granted =
+      (fun s p ->
+        emit bus
+          (Lease_granted
+             {
+               shard = p.p_shard;
+               worker = s.sl_id;
+               cells = List.length p.p_cells;
+               attempt = p.p_attempt;
+             }));
+    src_hello = hello;
+    src_done =
+      (fun s ->
+        (* A "done" lease can still be short of results (a dropped
+           frame): the missing cells are requeued — never invented — and
+           the connection stays in the pool. *)
+        end_lease lp s "lease completed with missing results");
+    src_release =
+      (fun s ~killed:_ reason ->
+        if s.sl_authed then
+          emit bus (Worker_disconnected { worker = s.sl_id; reason });
+        close_quietly s.sl_tr.t_read;
+        reason);
+    src_patience = pool.pl_accept_wall;
+    src_shutdown =
+      (fun () ->
+        (* Tell every surviving worker to exit cleanly (a dial-in worker
+           that merely lost its connection would redial; F_exit is what
+           ends it). *)
+        List.iter
+          (fun s ->
+            (try Shard.write_frame s.sl_tr.t_write Shard.F_exit
+             with Unix.Unix_error _ -> ());
+            close_quietly s.sl_tr.t_read)
+          lp.l_slots;
+        lp.l_slots <- [];
+        close_quietly lsock);
+  }
 
-(* ------------------------------------------------------------------ *)
-(* TCP worker pool                                                     *)
-(* ------------------------------------------------------------------ *)
+(* Resume from checkpoints, open the source, run the loop, and fall
+   back in-process for whatever the workers could not compute. *)
+let supervise ~bus ~http cfg ~fallback cells open_source =
+  Shard.ignore_sigpipe ();
+  let ledger = Ledger.create ~bus ~checkpoint_dir:cfg.checkpoint_dir cells in
+  let run_fallback reason =
+    emit bus (Fallback { reason });
+    List.iter
+      (fun (id, r) -> Ledger.record_ok ledger ~origin:0 id r)
+      (fallback (Ledger.remaining ledger));
+    Ledger.save_checkpoint ledger 0
+  in
+  Ledger.load_checkpoints ledger;
+  (match Ledger.remaining ledger with
+  | [] -> ()
+  | remaining -> (
+      let lp =
+        {
+          l_bus = bus;
+          l_cfg = cfg;
+          l_ledger = ledger;
+          l_slots = [];
+          l_pending = [];
+          l_next_shard = 0;
+          l_progress = Unix.gettimeofday ();
+        }
+      in
+      lp.l_pending <-
+        List.map
+          (fun cs ->
+            let s = fresh_shard lp in
+            {
+              p_shard = s;
+              p_origin = s;
+              p_cells = cs;
+              p_attempt = 1;
+              p_not_before = 0.0;
+            })
+          (split_shards cfg.shards remaining);
+      match open_source lp with
+      | Error reason -> run_fallback reason
+      | Ok src -> Option.iter run_fallback (dispatch lp src ~http)));
+  Ledger.finish ledger
 
-(* One dial-in connection.  [pc_worker] is a stable display id granted
-   at accept; a connection holds at most one lease (work batch) at a
-   time, so a dead connection forfeits exactly one batch. *)
-type pool_conn = {
-  pc_worker : int;
-  pc_fd : Unix.file_descr;
-  pc_peer : string;
-  pc_dec : Shard.Decoder.t;
-  mutable pc_authed : bool;
-  mutable pc_last : float; (* last byte received (liveness) *)
-  mutable pc_lease : pending option;
-  mutable pc_leased_at : float;
-}
+(* Shard [cells] across spawned copies of [worker_argv] (or the
+   transports [spawn] makes).  When processes cannot be spawned the
+   whole batch runs in-process. *)
+let run ?(bus = create_bus ()) ?spawn ?http (cfg : config)
+    ~(worker_argv : string array)
+    ~(fallback : Shard.cell list -> (int * Json.t) list)
+    (cells : Shard.cell list) : (int * outcome) list =
+  supervise ~bus ~http cfg ~fallback cells (fun lp ->
+      if Shard.can_spawn () then Ok (spawn_source lp ~spawn ~worker_argv)
+      else Error "process spawning unavailable")
 
-(* [run] over TCP: listen on [pool.pl_listen], lease work batches to
-   authenticated dial-in workers, and re-dispatch the lease of any
-   worker that disconnects, times out, half-closes, or corrupts the
-   stream — through the same backoff/bisection/poison logic as the
-   pipe supervisor, against the same ledger, so the merged output is
-   byte-identical to a serial run no matter which machines computed
-   what.  [cfg.shards] bounds in-flight leases; worker count is
-   whatever dials in.  Emits [Listening] with the bound port before
-   accepting (subscribers — tests, log tooling — learn the real port
-   when [pl_listen] ends in ":0"). *)
+(* [run] over TCP: listen on [pool.pl_listen] and lease work batches to
+   authenticated dial-in workers.  [cfg.shards] bounds the initial
+   leases; worker count is whatever dials in.  Emits [Listening] with
+   the bound port before accepting (subscribers — tests, log tooling —
+   learn the real port when [pl_listen] ends in ":0"). *)
 let run_pool ?(bus = create_bus ()) ?http (cfg : config)
     ?(pool = default_pool_config)
     ~(fallback : Shard.cell list -> (int * Json.t) list)
     (cells : Shard.cell list) : (int * outcome) list =
-  Shard.ignore_sigpipe ();
-  let ledger = Ledger.create ~bus ~checkpoint_dir:cfg.checkpoint_dir cells in
-  let finish () = Ledger.finish ledger in
-  let run_fallback reason remaining =
-    emit bus (Fallback { reason });
-    List.iter
-      (fun (id, r) -> Ledger.record_ok ledger ~origin:0 id r)
-      (fallback remaining);
-    Ledger.save_checkpoint ledger 0
-  in
-  if cells = [] then finish ()
-  else begin
-    Ledger.load_checkpoints ledger;
-    let remaining = Ledger.remaining ledger in
-    if remaining = [] then finish ()
-    else begin
-      let lsock, port = Shard.listen_socket pool.pl_listen in
-      emit bus (Listening { addr = pool.pl_listen; port });
-      let now () = Unix.gettimeofday () in
-      let next_shard = ref 0 in
-      let fresh_shard () =
-        let s = !next_shard in
-        incr next_shard;
-        s
-      in
-      let next_worker = ref 0 in
-      let pending : pending list ref =
-        ref
-          (List.map
-             (fun cs ->
-               let s = fresh_shard () in
-               {
-                 p_shard = s;
-                 p_origin = s;
-                 p_cells = cs;
-                 p_attempt = 1;
-                 p_not_before = 0.0;
-               })
-             (split_shards cfg.shards remaining))
-      in
-      let conns : pool_conn list ref = ref [] in
-      let aborted = ref None in
-      (* Last time the campaign moved (connect, lease, result): the
-         no-worker give-up clock measures from here. *)
-      let progress = ref (now ()) in
-      let close_conn (c : pool_conn) =
-        conns := List.filter (fun x -> x != c) !conns;
-        try Unix.close c.pc_fd with Unix.Unix_error _ -> ()
-      in
-      let requeue_lease (p : pending) reason =
-        requeue_failed ~bus ~cfg ~ledger ~pending ~fresh_shard ~now
-          ~shard:p.p_shard ~origin:p.p_origin ~cells:p.p_cells
-          ~attempt:p.p_attempt reason;
-        Ledger.save_checkpoint ledger p.p_origin
-      in
-      let drop_conn (c : pool_conn) reason =
-        if c.pc_authed then
-          emit bus (Worker_disconnected { worker = c.pc_worker; reason });
-        (match c.pc_lease with
-        | Some p ->
-            c.pc_lease <- None;
-            requeue_lease p reason
-        | None -> ());
-        close_conn c
-      in
-      let shard_of (c : pool_conn) =
-        match c.pc_lease with Some p -> p.p_shard | None -> c.pc_worker
-      in
-      let attempt_of (c : pool_conn) =
-        match c.pc_lease with Some p -> p.p_attempt | None -> 1
-      in
-      let reject (c : pool_conn) reason =
-        emit bus (Worker_rejected { peer = c.pc_peer; reason });
-        (try Shard.write_frame c.pc_fd (Shard.F_reject reason)
-         with Unix.Unix_error _ -> ());
-        close_conn c
-      in
-      let dispatch () =
-        let t = now () in
-        let due, later = List.partition (fun p -> p.p_not_before <= t) !pending in
-        let idle =
-          ref (List.filter (fun c -> c.pc_authed && c.pc_lease = None) !conns)
-        in
-        let still_due = ref [] in
-        List.iter
-          (fun p ->
-            match !idle with
-            | [] -> still_due := p :: !still_due
-            | c :: rest -> (
-                match Shard.write_frame c.pc_fd (Shard.F_work p.p_cells) with
-                | () ->
-                    idle := rest;
-                    c.pc_lease <- Some p;
-                    c.pc_leased_at <- t;
-                    c.pc_last <- t;
-                    progress := t;
-                    emit bus
-                      (Lease_granted
-                         {
-                           shard = p.p_shard;
-                           worker = c.pc_worker;
-                           cells = List.length p.p_cells;
-                           attempt = p.p_attempt;
-                         })
-                | exception Unix.Unix_error _ ->
-                    (* Found dead at grant time: the lease never left,
-                       so it stays pending rather than burning an
-                       attempt. *)
-                    idle := rest;
-                    still_due := p :: !still_due;
-                    drop_conn c "write failed at lease grant"))
-          due;
-        pending := List.rev !still_due @ later
-      in
-      let handle_frame (c : pool_conn) frame =
-        if not c.pc_authed then
-          match frame with
-          | Shard.F_hello { h_version; h_token } ->
-              if h_version <> Shard.protocol_version then
-                reject c
-                  (Printf.sprintf "protocol version %d (supervisor speaks %d)"
-                     h_version Shard.protocol_version)
-              else if h_token <> pool.pl_token then reject c "bad campaign token"
-              else begin
-                match
-                  Shard.write_frame c.pc_fd
-                    (Shard.F_welcome Shard.protocol_version)
-                with
-                | () ->
-                    c.pc_authed <- true;
-                    progress := now ();
-                    emit bus
-                      (Worker_connected { worker = c.pc_worker; peer = c.pc_peer })
-                | exception Unix.Unix_error _ -> close_conn c
-              end
-          | _ -> reject c "frame before handshake"
-        else
-          match frame with
-          | Shard.F_hb cell -> emit bus (Heartbeat { shard = shard_of c; cell })
-          | Shard.F_result (id, r) ->
-              (match c.pc_lease with
-              | Some p -> Ledger.record_ok ledger ~origin:p.p_origin id r
-              | None -> Ledger.record_ok ledger ~origin:0 id r);
-              progress := now ();
-              emit bus (Cell_done { shard = shard_of c; cell = id })
-          | Shard.F_cellfault { fc_id; fc_reason } ->
-              Ledger.poison ledger ~attempts:(attempt_of c) fc_id fc_reason;
-              progress := now ();
-              emit bus
-                (Cell_fault { shard = shard_of c; cell = fc_id; reason = fc_reason })
-          | Shard.F_log line -> emit bus (Worker_log { shard = shard_of c; line })
-          | Shard.F_done -> (
-              match c.pc_lease with
-              | None -> ()
-              | Some p ->
-                  c.pc_lease <- None;
-                  Ledger.save_checkpoint ledger p.p_origin;
-                  (* A "done" lease can still be short of results (a
-                     dropped frame): the missing cells are requeued —
-                     never invented — and the conn stays in the pool. *)
-                  if
-                    List.exists
-                      (fun cell -> not (Ledger.have ledger cell.Shard.c_id))
-                      p.p_cells
-                  then
-                    requeue_failed ~bus ~cfg ~ledger ~pending ~fresh_shard ~now
-                      ~shard:p.p_shard ~origin:p.p_origin ~cells:p.p_cells
-                      ~attempt:p.p_attempt "lease completed with missing results")
-          | Shard.F_hello _ -> () (* duplicate hello: ignored *)
-          | Shard.F_work _ | Shard.F_exit | Shard.F_welcome _ | Shard.F_reject _
-            ->
-              ()
-      in
-      let buf = Bytes.create 65536 in
-      let outstanding () =
-        !pending <> [] || List.exists (fun c -> c.pc_lease <> None) !conns
-      in
-      (try
-         while outstanding () && !aborted = None do
-           dispatch ();
-           let t = now () in
-           (* Deadlines: a leased connection is held to the same
-              heartbeat/wall budgets as a pipe worker; an unauthed
-              connection gets a short handshake budget. *)
-           List.iter
-             (fun (c : pool_conn) ->
-               if List.exists (fun x -> x == c) !conns then
-                 match c.pc_lease with
-                 | Some _ when t -. c.pc_last > cfg.heartbeat ->
-                     drop_conn c
-                       (Printf.sprintf "heartbeat deadline (%.0fs) expired"
-                          cfg.heartbeat)
-                 | Some _ when t -. c.pc_leased_at > cfg.wall ->
-                     drop_conn c
-                       (Printf.sprintf "wall-clock budget (%.0fs) expired"
-                          cfg.wall)
-                 | None
-                   when (not c.pc_authed)
-                        && t -. c.pc_last > Float.min cfg.heartbeat 10.0 ->
-                     close_conn c
-                 | _ -> ())
-             (List.filter (fun _ -> true) !conns);
-           (* Work is pending, nobody is serving it, nothing has moved
-              for the accept budget: degrade instead of hanging. *)
-           if
-             !pending <> []
-             && List.for_all (fun c -> c.pc_lease = None) !conns
-             && t -. !progress > pool.pl_accept_wall
-           then aborted := Some "no connected workers"
-           else begin
-             let http_fds =
-               match http with Some h -> Http_listener.fds h | None -> []
-             in
-             let fds =
-               (lsock :: List.map (fun c -> c.pc_fd) !conns) @ http_fds
-             in
-             match Shard.retry_intr (fun () -> Unix.select fds [] [] 0.25) with
-             | readable, _, _ ->
-                 if List.memq lsock readable then begin
-                   match Shard.retry_intr (fun () -> Unix.accept lsock) with
-                   | fd, peer ->
-                       let w = !next_worker in
-                       incr next_worker;
-                       conns :=
-                         {
-                           pc_worker = w;
-                           pc_fd = fd;
-                           pc_peer = Shard.string_of_sockaddr peer;
-                           pc_dec = Shard.Decoder.create ();
-                           pc_authed = false;
-                           pc_last = now ();
-                           pc_lease = None;
-                           pc_leased_at = now ();
-                         }
-                         :: !conns
-                   | exception Unix.Unix_error _ -> ()
-                 end;
-                 (match http with
-                 | Some h -> Http_listener.handle h readable
-                 | None -> ());
-                 List.iter
-                   (fun (c : pool_conn) ->
-                     if
-                       List.exists (fun x -> x == c) !conns
-                       && List.memq c.pc_fd readable
-                     then begin
-                       match
-                         Shard.retry_intr (fun () ->
-                             Unix.read c.pc_fd buf 0 (Bytes.length buf))
-                       with
-                       | 0 -> drop_conn c "connection closed"
-                       | k -> (
-                           c.pc_last <- now ();
-                           Shard.Decoder.feed c.pc_dec buf 0 k;
-                           try
-                             let rec pop () =
-                               if List.exists (fun x -> x == c) !conns then
-                                 match Shard.Decoder.next c.pc_dec with
-                                 | Some f ->
-                                     handle_frame c f;
-                                     pop ()
-                                 | None -> ()
-                             in
-                             pop ()
-                           with
-                           | Json.Parse msg ->
-                               drop_conn c ("protocol corruption: " ^ msg)
-                           | Shard.Protocol msg ->
-                               drop_conn c ("protocol corruption: " ^ msg))
-                       | exception Unix.Unix_error _ -> drop_conn c "read error"
-                     end)
-                   (List.filter (fun _ -> true) !conns)
-           end
-         done
-       with e ->
-         List.iter
-           (fun (c : pool_conn) ->
-             try Unix.close c.pc_fd with Unix.Unix_error _ -> ())
-           !conns;
-         (try Unix.close lsock with Unix.Unix_error _ -> ());
-         raise e);
-      (* Campaign over: tell every surviving worker to exit cleanly
-         (a dial-in worker that merely lost its connection would
-         redial; F_exit is what ends it). *)
-      List.iter
-        (fun (c : pool_conn) ->
-          (try Shard.write_frame c.pc_fd Shard.F_exit
-           with Unix.Unix_error _ -> ());
-          try Unix.close c.pc_fd with Unix.Unix_error _ -> ())
-        !conns;
-      conns := [];
-      (try Unix.close lsock with Unix.Unix_error _ -> ());
-      (match !aborted with
-      | Some reason ->
-          run_fallback ("worker pool gave up: " ^ reason)
-            (Ledger.remaining ledger)
-      | None -> ());
-      finish ()
-    end
-  end
+  supervise ~bus ~http cfg ~fallback cells (fun lp ->
+      Ok (listen_source lp ~pool))
 
 (* ------------------------------------------------------------------ *)
 (* Experiment-grid client                                              *)

@@ -16,6 +16,8 @@ let () =
          so it must precede the supervisor suite: the latter's final test
          sets PROTEAN_NO_SPAWN=1 for the rest of the process. *)
       ("golden", Test_golden.tests);
+      (* Spawns workers, so it too must precede the supervisor suite. *)
+      ("dispatch", Test_dispatch.tests);
       ("supervisor", Test_supervisor.tests);
       ("transport", Test_transport.tests);
       ("telemetry", Test_telemetry.tests);
