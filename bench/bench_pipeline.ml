@@ -14,7 +14,8 @@
      cost of an experiment cell;
    - hotloop: the same workload with construction excluded — loop-only
      cycles/second, minor GC words allocated per simulated cycle
-     (Gc.quick_stat deltas around the step loop), the per-stage
+     (Gc.minor_words deltas around the step loop), issue-scan entries
+     visited per simulated cycle, the per-stage
      wall-clock breakdown from the [Profile] observer, and the overhead
      the profiler itself adds (the off-path must stay measurably free);
    - grid: the golden corpus (44 mixed single/multicore cells) at
@@ -24,8 +25,9 @@
    `--smoke` is the CI guard: it replays a reduced prefix of the golden
    corpus against test/golden_pipeline.expected (bit-identity) and
    fails if minor words per cycle exceed the checked-in ceiling in
-   bench/hotloop_ceiling.txt — an allocation regression in the cycle
-   loop breaks the build before it breaks throughput.
+   bench/hotloop_ceiling.txt, or issue-scan visits per cycle exceed
+   [scan_ceiling] — an allocation or scheduler-work regression in the
+   cycle loop breaks the build before it breaks throughput.
 
    Speedups are only meaningful relative to the `topology` block (a
    1-core container can verify determinism but not show speedup; extra
@@ -98,6 +100,7 @@ type hotloop = {
   hl_cycles : int;
   hl_loop_wall : float; (* step loop only, construction excluded *)
   hl_minor_words_per_cycle : float;
+  hl_scan_visits_per_cycle : float;
   hl_profiler_overhead : float; (* (profiled - plain) / plain wall *)
   hl_stages : (string * float * float) list; (* name, seconds, share *)
 }
@@ -138,6 +141,10 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
   in
   let cycles = t.Protean_ooo.Pipeline_state.cycle in
   let mwpc = (g1 -. g0) /. float_of_int cycles in
+  let spc =
+    float_of_int t.Protean_ooo.Pipeline_state.scan_visits
+    /. float_of_int cycles
+  in
   (* Profiled runs: per-stage breakdown, and the cost of profiling
      (best-of-3 against the best plain wall; the profiler accumulates
      across runs and [stage_breakdown] normalizes to shares). *)
@@ -151,10 +158,11 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
   in
   let overhead = (prof_wall -. loop_wall) /. loop_wall in
   Printf.printf
-    "%s: %d cycles in %.4fs loop-only (%.0f cycles/s), %.0f minor words/cycle\n%!"
+    "%s: %d cycles in %.4fs loop-only (%.0f cycles/s), %.1f minor \
+     words/cycle, %.2f issue-scan visits/cycle\n%!"
     label cycles loop_wall
     (float_of_int cycles /. loop_wall)
-    mwpc;
+    mwpc spc;
   List.iter
     (fun (name, s, share) ->
       Printf.printf "%s:   %-10s %.4fs (%.0f%%)\n%!" label name s (share *. 100.))
@@ -164,6 +172,7 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
     hl_cycles = cycles;
     hl_loop_wall = loop_wall;
     hl_minor_words_per_cycle = mwpc;
+    hl_scan_visits_per_cycle = spc;
     hl_profiler_overhead = overhead;
     hl_stages = Profile.stage_breakdown p;
   }
@@ -250,6 +259,13 @@ let bench_grid () =
 
 let smoke_cells = 10
 
+(* Issue-scan visits per simulated cycle, gated on both hot-loop cells:
+   the scan looks only at ready (live, unissued, non-dormant) entries,
+   3.39 per cycle port-free and 3.88 on the w4 ported core; the ceiling
+   is the larger plus 10%.  A scan that walked dormant entries again
+   would read ~128 (~158 at w4). *)
+let scan_ceiling = 4.3
+
 let find_file candidates =
   try List.find Sys.file_exists candidates
   with Not_found ->
@@ -305,6 +321,18 @@ let smoke () =
     exit 1);
   Printf.printf "smoke: %.1f minor words/cycle within ceiling %.1f\n%!"
     hl.hl_minor_words_per_cycle ceiling;
+  let check_scan label (h : hotloop) =
+    if h.hl_scan_visits_per_cycle > scan_ceiling then (
+      Printf.eprintf
+        "smoke: %s scheduler regression: %.2f issue-scan visits/cycle > \
+         ceiling %.2f\n"
+        label h.hl_scan_visits_per_cycle scan_ceiling;
+      exit 1);
+    Printf.printf
+      "smoke: %s %.2f issue-scan visits/cycle within ceiling %.2f\n%!" label
+      h.hl_scan_visits_per_cycle scan_ceiling
+  in
+  check_scan "hotloop" hl;
   (* The structural port/writeback model only runs on [Config.ports]
      configs; measure its loop so a per-issue regression in port binding
      or CDB arbitration is visible.  The allocation diet must hold there
@@ -327,6 +355,7 @@ let smoke () =
     hp.hl_minor_words_per_cycle ceiling
     (float_of_int hp.hl_cycles /. hp.hl_loop_wall
     /. (float_of_int hl.hl_cycles /. hl.hl_loop_wall));
+  check_scan "hotloop-ports" hp;
   (* Detached telemetry must not tax the loop: the acceptance bound is
      2%, widened a little here against wall-clock noise on shared CI
      runners (best-of-3 already smooths most of it). *)
@@ -395,12 +424,17 @@ let smoke () =
     hl.hl_loop_wall;
   Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f,\n"
     hl.hl_minor_words_per_cycle;
-  Printf.fprintf oc "    \"minor_words_ceiling\": %.1f\n  },\n" ceiling;
+  Printf.fprintf oc "    \"minor_words_ceiling\": %.1f,\n" ceiling;
+  Printf.fprintf oc "    \"scan_visits_per_cycle\": %.2f,\n"
+    hl.hl_scan_visits_per_cycle;
+  Printf.fprintf oc "    \"scan_visits_ceiling\": %.2f\n  },\n" scan_ceiling;
   Printf.fprintf oc "  \"hotloop_ports\": {\n";
   Printf.fprintf oc "    \"cycles\": %d, \"loop_wall_s\": %.4f,\n" hp.hl_cycles
     hp.hl_loop_wall;
-  Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f\n  },\n"
+  Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f,\n"
     hp.hl_minor_words_per_cycle;
+  Printf.fprintf oc "    \"scan_visits_per_cycle\": %.2f\n  },\n"
+    hp.hl_scan_visits_per_cycle;
   telemetry_json oc tele;
   Printf.fprintf oc ",\n  \"scheduler\": { \"cycles_skipped\": %d },\n" skipped;
   Printf.fprintf oc "  \"windows\": {%s}\n"
@@ -466,6 +500,8 @@ let () =
       (float_of_int hl.hl_cycles /. hl.hl_loop_wall);
     Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f,\n"
       hl.hl_minor_words_per_cycle;
+    Printf.fprintf oc "    \"scan_visits_per_cycle\": %.2f,\n"
+      hl.hl_scan_visits_per_cycle;
     Printf.fprintf oc "    \"profiler_overhead\": %.2f,\n"
       hl.hl_profiler_overhead;
     Printf.fprintf oc "    \"stages\": [\n";
@@ -483,8 +519,10 @@ let () =
       hp.hl_loop_wall;
     Printf.fprintf oc "    \"loop_cycles_per_sec\": %.0f,\n"
       (float_of_int hp.hl_cycles /. hp.hl_loop_wall);
-    Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f\n  },\n"
+    Printf.fprintf oc "    \"minor_words_per_cycle\": %.1f,\n"
       hp.hl_minor_words_per_cycle;
+    Printf.fprintf oc "    \"scan_visits_per_cycle\": %.2f\n  },\n"
+      hp.hl_scan_visits_per_cycle;
     telemetry_json oc tele;
     Printf.fprintf oc ",\n";
     Printf.fprintf oc "  \"grid\": {\n";

@@ -78,7 +78,7 @@ let invariant_every_arg =
 
 let paranoid_sched_arg =
   let doc =
-    "Cross-check the O(active) scheduler indexes (unissued/branch lists, \
+    "Cross-check the O(active) scheduler indexes (ready set, branch list, \
      in-flight and LSQ queues, wakeup chains, dormancy) against a \
      brute-force ROB scan every cycle, raising a simulation fault on any \
      mismatch. Slow; a debugging aid for scheduler changes. Also enabled \

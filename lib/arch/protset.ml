@@ -18,50 +18,63 @@ open Protean_isa
 
 type t = {
   reg : bool array; (* per architectural register *)
-  mem_unprot : (int64, Bytes.t) Hashtbl.t;
-      (* pages of 0/1 bytes: 1 = unprotected.  Absent page = protected. *)
+  mem_unprot : Page_map.t;
+      (* one byte per memory byte: 1 = unprotected.  Absent page (all
+         zero) = protected. *)
 }
 
 let create () =
   let reg = Array.make Reg.count false in
-  { reg; mem_unprot = Hashtbl.create 64 }
+  { reg; mem_unprot = Page_map.create () }
 
-let copy t = { reg = Array.copy t.reg; mem_unprot = Hashtbl.copy t.mem_unprot }
+let copy t = { reg = Array.copy t.reg; mem_unprot = Page_map.copy t.mem_unprot }
 
 let reg_protected t r = t.reg.(Reg.to_int r)
 let set_reg t r v = t.reg.(Reg.to_int r) <- v
 
-let page_of addr = Int64.shift_right_logical addr 12
-let offset_of addr = Int64.to_int (Int64.logand addr 0xfffL)
-
 let mem_byte_protected t addr =
-  match Hashtbl.find_opt t.mem_unprot (page_of addr) with
-  | None -> true
-  | Some p -> Bytes.get p (offset_of addr) = '\000'
+  let p = Page_map.find t.mem_unprot (Page_map.page_number addr) in
+  Bytes.length p = 0 || Bytes.get p (Page_map.offset addr) = '\000'
 
 let set_mem_byte t addr ~protected =
-  let page =
-    match Hashtbl.find_opt t.mem_unprot (page_of addr) with
-    | Some p -> p
-    | None ->
-        let p = Bytes.make 4096 '\000' in
-        Hashtbl.replace t.mem_unprot (page_of addr) p;
-        p
-  in
-  Bytes.set page (offset_of addr) (if protected then '\000' else '\001')
+  let p = Page_map.get t.mem_unprot (Page_map.page_number addr) in
+  Bytes.set p (Page_map.offset addr) (if protected then '\000' else '\001')
 
+(* Both range operations do one page lookup when the [size] bytes sit in
+   one page, and fall back to the byte loop when they straddle two. *)
 let mem_protected t addr size =
-  let rec loop i =
-    if i >= size then false
-    else
-      mem_byte_protected t (Int64.add addr (Int64.of_int i)) || loop (i + 1)
-  in
-  loop 0
+  let off = Page_map.offset addr in
+  if off + size <= Page_map.page_size then begin
+    let p = Page_map.find t.mem_unprot (Page_map.page_number addr) in
+    if Bytes.length p = 0 then size > 0
+    else begin
+      let any = ref false in
+      for i = off to off + size - 1 do
+        if Bytes.get p i = '\000' then any := true
+      done;
+      !any
+    end
+  end
+  else begin
+    let any = ref false in
+    for i = 0 to size - 1 do
+      if mem_byte_protected t (Int64.add addr (Int64.of_int i)) then any := true
+    done;
+    !any
+  end
 
 let set_mem t addr size ~protected =
-  for i = 0 to size - 1 do
-    set_mem_byte t (Int64.add addr (Int64.of_int i)) ~protected
-  done
+  let off = Page_map.offset addr in
+  if size <= 0 then ()
+  else if off + size <= Page_map.page_size then
+    Bytes.fill
+      (Page_map.get t.mem_unprot (Page_map.page_number addr))
+      off size
+      (if protected then '\000' else '\001')
+  else
+    for i = 0 to size - 1 do
+      set_mem_byte t (Int64.add addr (Int64.of_int i)) ~protected
+    done
 
 let src_protected t = function
   | Insn.Reg r -> reg_protected t r

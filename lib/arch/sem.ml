@@ -18,7 +18,9 @@ let pack ~zf ~sf ~cf ~ov =
     (Int64.logor (b zf zf_bit) (b sf sf_bit))
     (Int64.logor (b cf cf_bit) (b ov of_bit))
 
-let flags_of_result ?(cf = false) ?(ov = false) r =
+(* Labelled, not optional: an optional argument passed as [~cf] is boxed
+   in a [Some] on every call, and this runs once per ALU instruction. *)
+let flags_of_result ~cf ~ov r =
   pack ~zf:(Int64.equal r 0L) ~sf:(Int64.compare r 0L < 0) ~cf ~ov
 
 (* Unsigned comparison of int64 values. *)
@@ -61,37 +63,37 @@ let eval_binop op a b =
       (r, flags_of_result ~cf ~ov r)
   | Insn.And ->
       let r = Int64.logand a b in
-      (r, flags_of_result r)
+      (r, flags_of_result ~cf:false ~ov:false r)
   | Insn.Or ->
       let r = Int64.logor a b in
-      (r, flags_of_result r)
+      (r, flags_of_result ~cf:false ~ov:false r)
   | Insn.Xor ->
       let r = Int64.logxor a b in
-      (r, flags_of_result r)
+      (r, flags_of_result ~cf:false ~ov:false r)
   | Insn.Shl ->
       let r = Int64.shift_left a (Int64.to_int (Int64.logand b 63L)) in
-      (r, flags_of_result r)
+      (r, flags_of_result ~cf:false ~ov:false r)
   | Insn.Shr ->
       let r = Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L)) in
-      (r, flags_of_result r)
+      (r, flags_of_result ~cf:false ~ov:false r)
   | Insn.Sar ->
       let r = Int64.shift_right a (Int64.to_int (Int64.logand b 63L)) in
-      (r, flags_of_result r)
+      (r, flags_of_result ~cf:false ~ov:false r)
   | Insn.Mul ->
       let r = Int64.mul a b in
-      (r, flags_of_result r)
+      (r, flags_of_result ~cf:false ~ov:false r)
 
 let eval_unop op a =
   match op with
   | Insn.Not ->
       let r = Int64.lognot a in
-      (r, flags_of_result r)
+      (r, flags_of_result ~cf:false ~ov:false r)
   | Insn.Neg ->
       let r = Int64.neg a in
-      (r, flags_of_result ~cf:(not (Int64.equal a 0L)) r)
+      (r, flags_of_result ~cf:(not (Int64.equal a 0L)) ~ov:false r)
 
 let eval_cmp a b = snd (eval_binop Insn.Sub a b)
-let eval_test a b = flags_of_result (Int64.logand a b)
+let eval_test a b = flags_of_result ~cf:false ~ov:false (Int64.logand a b)
 
 (* Unsigned division; the caller checks for a zero divisor (fault). *)
 let eval_div n d = Int64.unsigned_div n d

@@ -13,7 +13,8 @@ val of_bit : int
 
 val flag : int64 -> int -> bool
 val pack : zf:bool -> sf:bool -> cf:bool -> ov:bool -> int64
-val flags_of_result : ?cf:bool -> ?ov:bool -> int64 -> int64
+val flags_of_result : cf:bool -> ov:bool -> int64 -> int64
+(** Flags of an ALU result [r]: ZF/SF from [r], CF/OF as given. *)
 
 val ucompare : int64 -> int64 -> int
 

@@ -24,14 +24,20 @@ let src_root (api : Policy.api) (e : Rob_entry.t) i =
 (* Is any *sensitive* operand of [e] tainted?  Used to gate transmitter
    execution and branch resolution. *)
 let sensitive_tainted (api : Policy.api) (e : Rob_entry.t) =
+  let srcs = e.Rob_entry.srcs in
+  let n = Array.length srcs in
+  let i = ref 0 in
   let tainted = ref false in
-  Array.iteri
-    (fun i (_, role) ->
-      match role with
-      | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
-          if Policy.root_speculative api (src_root api e i) then tainted := true
-      | Insn.Data -> ())
-    e.Rob_entry.srcs;
+  (* A [while] loop, not [Array.iteri]: this gate runs once per
+     policy-blocked transmitter per cycle, and a closure over [api] and
+     [e] would be allocated on every call. *)
+  while (not !tainted) && !i < n do
+    (match snd srcs.(!i) with
+    | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
+        tainted := Policy.root_speculative api (src_root api e !i)
+    | Insn.Data -> ());
+    incr i
+  done;
   !tainted
 
 (* The taint of an indirect branch's loaded target ([ret] pops its target

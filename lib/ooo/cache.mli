@@ -14,16 +14,18 @@ val create : ?prot:bool -> Config.cache_cfg -> t
     they share one dummy protection buffer and skip the per-fill reset.
     Timing and tag behavior are identical either way. *)
 
-type result = {
-  hit : bool;
-  set : int;
-  tag : int64;
-  evicted : int64 option;  (** line address of the victim, if any *)
-}
-
-val access : t -> int64 -> result
+val access : t -> int64 -> bool
 (** Access the line containing the address: LRU update, allocate on miss
-    (evicting the LRU way; new lines all-protected). *)
+    (evicting the LRU way; new lines all-protected).  Returns true on a
+    hit.  The access's set, tag and victim are kept until the next
+    access, readable through [last_set], [last_tag] and [last_evicted];
+    the access itself allocates nothing. *)
+
+val last_set : t -> int
+val last_tag : t -> int64
+
+val last_evicted : t -> int64 option
+(** Line address of the last access's victim, if it evicted one. *)
 
 val line_addr : t -> int64 -> int64
 val set_index : t -> int64 -> int

@@ -8,7 +8,7 @@
 
    [check] audits a pipeline snapshot and returns the violations it
    finds; [check_sched] cross-checks the O(active) scheduler's redundant
-   indexes (unissued/branch lists, in-flight deque, store/load queues,
+   indexes (ready set, branch list, in-flight deque, store/load queues,
    wakeup chains, dormancy) against a brute-force ROB scan — it is what
    [Pipeline.step] runs per cycle under [--paranoid-sched].  [checker]
    packages both as a per-cycle hook (usable directly as [Pipeline.run]'s
@@ -44,26 +44,40 @@ let check_sched (t : S.t) : violation list =
   let live (e : Rob_entry.t) =
     (not (Rob_entry.is_null e)) && S.peek t e.Rob_entry.seq == e
   in
-  (* Unissued list: exactly the live unissued entries, seq-ascending. *)
-  let uq_count = ref 0 in
-  let prev_seq = ref min_int in
-  let cursor = ref t.S.uq_head in
-  while not (Rob_entry.is_null !cursor) do
-    let e = !cursor in
-    incr uq_count;
-    if not (live e) then fail "sched-uq" "dead entry seq %d linked" e.Rob_entry.seq;
-    if e.Rob_entry.issued then
-      fail "sched-uq" "issued entry seq %d still linked" e.Rob_entry.seq;
-    if e.Rob_entry.seq <= !prev_seq then
-      fail "sched-uq" "not seq-ascending at seq %d" e.Rob_entry.seq;
-    prev_seq := e.Rob_entry.seq;
-    cursor := e.Rob_entry.uq_next
+  (* Ready set: a slot's bit is set iff the slot holds a live, unissued,
+     non-dormant entry.  Slots outside the live window must be clear,
+     and so must the padding bits past the last slot. *)
+  let n = S.rob_size t in
+  let in_window = Array.make n false in
+  for i = 0 to t.S.count - 1 do
+    in_window.(S.idx_of_seq t (t.S.head_seq + i)) <- true
   done;
-  let ring_unissued = ref 0 in
-  S.iter_rob t (fun e -> if not e.Rob_entry.issued then incr ring_unissued);
-  if !uq_count <> !ring_unissued then
-    fail "sched-uq" "list has %d entries, ring has %d unissued" !uq_count
-      !ring_unissued;
+  for idx = 0 to n - 1 do
+    let bit = S.ready_mem t idx in
+    if not in_window.(idx) then begin
+      if bit then
+        fail "sched-ready" "slot %d outside the live window is ready" idx
+    end
+    else begin
+      let e = t.S.rob.(idx) in
+      let want =
+        (not (Rob_entry.is_null e))
+        && (not e.Rob_entry.issued)
+        && not e.Rob_entry.dormant
+      in
+      if bit && not want then
+        fail "sched-ready" "slot %d (seq %d) is ready but %s" idx
+          e.Rob_entry.seq
+          (if e.Rob_entry.issued then "issued" else "dormant")
+      else if want && not bit then
+        fail "sched-ready"
+          "live unissued non-dormant seq %d (slot %d) is not ready"
+          e.Rob_entry.seq idx
+    end
+  done;
+  for idx = n to (Array.length t.S.ready lsl 5) - 1 do
+    if S.ready_mem t idx then fail "sched-ready" "padding bit %d is set" idx
+  done;
   (* Unresolved-branch list: exactly the live unresolved branches. *)
   let bq_count = ref 0 in
   let prev_seq = ref min_int in

@@ -10,9 +10,10 @@
    the O(active) issue scheduler's index structures (see
    docs/architecture.md, "Performance"): the ROB ring is a flat
    [Rob_entry.t array] with [Rob_entry.null] for empty slots, the
-   unissued and unresolved-branch sets are intrusive doubly-linked lists
-   threaded through the entries, and the in-flight/store/load sets are
-   [Entryq] deques.  All of them are *redundant* indexes over the ring:
+   issue candidates are a ready set of ring slots (a bitmap), the
+   unresolved branches an intrusive doubly-linked list threaded through
+   the entries, and the in-flight/store/load sets are [Entryq] deques.
+   All of them are *redundant* indexes over the ring:
    [Invariants.check_sched] cross-checks them against a brute-force ROB
    scan (per cycle under [paranoid_sched]). *)
 
@@ -63,8 +64,13 @@ type t = {
   mutable lq_used : int;
   mutable sq_used : int;
   (* O(active) scheduler indexes (redundant views over the ring). *)
-  mutable uq_head : Rob_entry.t; (* unissued entries, seq-ascending DLL *)
-  mutable uq_tail : Rob_entry.t;
+  ready : int array;
+      (* the ready set: bit [i land 31] of word [i lsr 5] is set iff ring
+         slot [i] holds a live, unissued, non-dormant entry (see
+         [ready_add]) *)
+  mutable scan_visits : int;
+      (* issue-scan visits so far: entries the scan looked at, summed
+         over cycles (a deterministic work counter for the bench) *)
   mutable bq_head : Rob_entry.t; (* unresolved branches, seq-ascending DLL *)
   mutable bq_tail : Rob_entry.t;
   inflight : Entryq.t; (* issued && not executed, issue order *)
@@ -83,7 +89,7 @@ type t = {
   tmpl_srcs : (Reg.t * Insn.role) array array;
   tmpl_dsts : Reg.t array array;
   (* Per-pc free list of dead ROB entries ([Rob_entry.null]-terminated,
-     chained through [uq_next]): commit releases, rename recycles via
+     chained through [pool_next]): commit releases, rename recycles via
      [Rob_entry.reset].  Loop bodies re-rename the same pcs over and
      over, so in steady state rename allocates nothing.  Safe because a
      committed entry has no inbound physical pointers (wakeup chains are
@@ -91,7 +97,7 @@ type t = {
      slots at commit) — every cross-entry reference is by sequence
      number, and [peek] range-checks those.  Squashed entries are pooled
      too, but only at the *end* of the flush: the index cleanup still
-     walks their list/chain links, so [Squash.flush] parks them in
+     walks their branch-list/chain links, so [Squash.flush] parks them in
      [squash_scratch] (pre-allocated, ROB-sized) until the pipeline is
      consistent again. *)
   entry_pool : Rob_entry.t array;
@@ -217,8 +223,8 @@ let create ?(trace = false) ?(squash_bug = false)
     next_seq = 0;
     lq_used = 0;
     sq_used = 0;
-    uq_head = Rob_entry.null;
-    uq_tail = Rob_entry.null;
+    ready = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
+    scan_visits = 0;
     bq_head = Rob_entry.null;
     bq_tail = Rob_entry.null;
     inflight = Entryq.create ~capacity:64 ();
@@ -308,13 +314,14 @@ let iter_rob t f =
 let tail_seq t = t.head_seq + t.count - 1
 
 (* Entry recycling (see [entry_pool]).  [pool_put] is called from commit
-   once the entry is out of every index; the free list borrows the then
-   unused [uq_next] field, which [Rob_entry.reset] re-nulls on reuse. *)
+   and the squash flush once the entry is out of every index; the free
+   list is chained through [pool_next], which [Rob_entry.reset] re-nulls
+   on reuse. *)
 
 let pool_put t (e : Rob_entry.t) =
   let pc = e.Rob_entry.pc in
   if pc >= 0 && pc < Array.length t.entry_pool then begin
-    e.Rob_entry.uq_next <- t.entry_pool.(pc);
+    e.Rob_entry.pool_next <- t.entry_pool.(pc);
     t.entry_pool.(pc) <- e
   end
 
@@ -326,7 +333,7 @@ let pool_take t pc (insn : Insn.t) =
   if pc >= 0 && pc < Array.length t.entry_pool then begin
     let e = t.entry_pool.(pc) in
     if (not (Rob_entry.is_null e)) && e.Rob_entry.insn == insn then begin
-      t.entry_pool.(pc) <- e.Rob_entry.uq_next;
+      t.entry_pool.(pc) <- e.Rob_entry.pool_next;
       e
     end
     else Rob_entry.null
@@ -379,31 +386,50 @@ let fb_iter f t =
 (* Scheduler index maintenance                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Unissued list: entries append at rename (seq-ascending by
-   construction), unlink when they issue, truncate from the tail on a
-   squash.  Dormant entries stay linked — the issue scan skips them with
-   one flag test; what makes the scan O(active) is never visiting
-   issued/executed/committed entries at all. *)
+(* The ready set: one bit per ROB ring slot, set iff the slot holds a
+   live, unissued, non-dormant entry — exactly the entries the issue scan
+   must look at.  Rename adds an entry unless [register_waiters] parks it
+   dormant; [sources_ready] removes it when it goes dormant;
+   [complete_entry] adds each waiter it wakes; issue and the squash
+   flush remove it.  Dormant, issued and dead slots are never visited.
+   Slots are ring indices, so scanning from [head_idx] with wrap-around
+   is seq order. *)
 
-let uq_push t (e : Rob_entry.t) =
-  if Rob_entry.is_null t.uq_tail then begin
-    t.uq_head <- e;
-    t.uq_tail <- e
-  end
+let ready_add t idx =
+  let w = idx lsr 5 in
+  t.ready.(w) <- t.ready.(w) lor (1 lsl (idx land 31))
+
+let ready_remove t idx =
+  let w = idx lsr 5 in
+  t.ready.(w) <- t.ready.(w) land lnot (1 lsl (idx land 31))
+
+let ready_mem t idx = t.ready.(idx lsr 5) land (1 lsl (idx land 31)) <> 0
+
+(* Index of the lowest set bit of a nonzero 32-bit word, by de Bruijn
+   multiplication (no loop, no allocation). *)
+let debruijn_pos =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let lowest_bit x =
+  debruijn_pos.((((x land (-x)) * 0x077CB531) land 0xFFFF_FFFF) lsr 27)
+
+(* The lowest ready slot in [from, limit), or -1. *)
+let ready_next t from limit =
+  if from >= limit then -1
   else begin
-    e.Rob_entry.uq_prev <- t.uq_tail;
-    t.uq_tail.Rob_entry.uq_next <- e;
-    t.uq_tail <- e
+    let w = ref (from lsr 5) in
+    let bits = ref (t.ready.(!w) land (-1 lsl (from land 31))) in
+    let last = (limit - 1) lsr 5 in
+    while !bits = 0 && !w < last do
+      incr w;
+      bits := t.ready.(!w)
+    done;
+    if !bits = 0 then -1
+    else
+      let i = (!w lsl 5) + lowest_bit !bits in
+      if i < limit then i else -1
   end
-
-let uq_unlink t (e : Rob_entry.t) =
-  let p = e.Rob_entry.uq_prev and n = e.Rob_entry.uq_next in
-  if Rob_entry.is_null p then t.uq_head <- n
-  else p.Rob_entry.uq_next <- n;
-  if Rob_entry.is_null n then t.uq_tail <- p
-  else n.Rob_entry.uq_prev <- p;
-  e.Rob_entry.uq_prev <- Rob_entry.null;
-  e.Rob_entry.uq_next <- Rob_entry.null
 
 (* Unresolved-branch list: append at rename, unlink the moment an entry
    resolves, truncate from the tail on a squash.  Its head therefore *is*

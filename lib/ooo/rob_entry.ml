@@ -1,8 +1,8 @@
 (* A reorder-buffer entry: one in-flight instruction with its renamed
    sources, results, memory/branch state, ProtISA protection tags, the
    defense policies' taint bookkeeping, and the intrusive links of the
-   O(active) issue scheduler (unissued list, unresolved-branch list,
-   producer→consumer wakeup chain). *)
+   O(active) issue scheduler (unresolved-branch list, producer→consumer
+   wakeup chain) and of the per-pc entry pool. *)
 
 open Protean_isa
 
@@ -67,7 +67,8 @@ type t = {
      itself is a shared sentinel that must never be mutated. *)
   mutable dormant : bool;
       (* unissued and every non-ready source has a live, un-executed
-         producer: skipped by the issue scan until a producer executes *)
+         producer: out of the ready set, so the issue scan never visits
+         it, until a producer executes *)
   wl_next : t array;
       (* per-source wakeup-chain links.  Invariant: source slot [i] is a
          member of its producer's waiter chain iff the slot is non-ready
@@ -78,10 +79,9 @@ type t = {
   wl_slot : int array;
   mutable waiters : t; (* head entry of the chain of waiting consumers *)
   mutable waiters_slot : int; (* slot of the head node *)
-  mutable uq_prev : t; (* unissued list (seq-ascending doubly linked) *)
-  mutable uq_next : t;
   mutable bq_prev : t; (* unresolved-branch list (seq-ascending) *)
   mutable bq_next : t;
+  mutable pool_next : t; (* per-pc free list of dead entries *)
   (* Timing, for the timing-based adversary and statistics. *)
   mutable t_fetch : int;
   mutable t_rename : int;
@@ -134,10 +134,9 @@ let rec null =
     wl_slot = [||];
     waiters = null;
     waiters_slot = 0;
-    uq_prev = null;
-    uq_next = null;
     bq_prev = null;
     bq_next = null;
+    pool_next = null;
     t_fetch = -1;
     t_rename = -1;
     t_issue = -1;
@@ -202,10 +201,9 @@ let create ?srcs ?dsts ~seq ~pc ~(insn : Insn.t) ~t_fetch () =
     wl_slot = Array.make n (-1);
     waiters = null;
     waiters_slot = 0;
-    uq_prev = null;
-    uq_next = null;
     bq_prev = null;
     bq_next = null;
+    pool_next = null;
     t_fetch;
     t_rename = -1;
     t_issue = -1;
@@ -268,11 +266,11 @@ let reset e ~seq ~t_fetch =
   e.dormant <- false;
   (* The link fields are already null on every pool path: [waiters] is
      nulled by [complete_entry] (commit pooling) or the squash flush,
-     [uq_prev]/[bq_prev]/[bq_next] by the unlink that removed the entry
-     from its list.  Only [uq_next] needs re-nulling — the free list
-     borrows it. *)
+     [bq_prev]/[bq_next] by the unlink that removed the entry from the
+     branch list.  Only [pool_next] needs re-nulling — the free list
+     used it. *)
   e.waiters_slot <- 0;
-  e.uq_next <- null;
+  e.pool_next <- null;
   e.t_fetch <- t_fetch;
   e.t_rename <- -1;
   e.t_issue <- -1;

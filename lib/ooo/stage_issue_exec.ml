@@ -7,18 +7,19 @@
    with MDP-guided stalls, hierarchy walks via [Mem_hierarchy]), and
    delayed branch resolution with at most one squash per cycle.
 
-   Cost model (the O(active) scheduler): the per-cycle work is
+   Cost model (the O(ready) scheduler): the per-cycle work is
    - [tick]: one pass over the in-flight deque (issued, not executed),
-   - the issue scan: the unissued list in seq order, skipping dormant
-     entries with one flag test, breaking once [issue_width] is spent,
+   - the issue scan: the ready set (live, unissued, non-dormant ring
+     slots) in seq order, found a bitmap word at a time, breaking once
+     [issue_width] is spent,
    - [resolve]: three passes over the unresolved-branch list.
-   None of these ever visits an executed-but-uncommitted or committed
-   slot, so cost tracks active instructions, not ROB capacity.  The
-   traversal orders equal the old full-ring scans' (both seq-ascending),
-   so every emission and policy query happens at the same point of the
-   same cycle — asserted bit-for-bit by the golden corpus, and
-   cross-checked against brute-force ring scans under
-   [Pipeline_state.paranoid_sched].
+   None of these ever visits a dormant, executed-but-uncommitted or
+   committed slot, so cost tracks ready instructions, not ROB capacity
+   or the length of dependence chains.  The traversal orders equal the
+   old full-ring scans' (both seq-ascending), so every emission and
+   policy query happens at the same point of the same cycle — asserted
+   bit-for-bit by the golden corpus, and cross-checked against
+   brute-force ring scans under [Pipeline_state.paranoid_sched].
 
    Events: [On_wakeup]/[On_wakeup_blocked] per source, [On_exec_blocked]
    and [On_resolve_blocked] per denied cycle, [On_forward] on LSQ hits,
@@ -93,6 +94,7 @@ let sources_ready (t : S.t) (e : Rob_entry.t) =
   done;
   if (not !all) && not !policy_blocked then begin
     e.Rob_entry.dormant <- true;
+    S.ready_remove t (S.idx_of_seq t e.Rob_entry.seq);
     t.S.progress <- true
   end;
   !all
@@ -110,6 +112,9 @@ let operand_value (e : Rob_entry.t) (s : Insn.src) role =
 let ea_of (e : Rob_entry.t) (m : Insn.mem) =
   let read r = src_value e r Insn.Addr in
   Sem.effective_address read m
+
+(* The old value of a destination register (merging writes read it). *)
+let old_of e r = src_value e r Insn.Data
 
 let alu_latency (t : S.t) (op : Insn.op) =
   match op with
@@ -131,13 +136,12 @@ let set_dst (e : Rob_entry.t) r v =
    the entry commits. *)
 let start_execution (t : S.t) (e : Rob_entry.t) =
   let insn = e.Rob_entry.insn in
-  let old_of r = src_value e r Insn.Data in
   let started = ref true in
   (match insn.Insn.op with
   | Insn.Nop | Insn.Halt -> e.Rob_entry.cycles_left <- 1
   | Insn.Mov (w, d, s) ->
       let v = operand_value e s Insn.Data in
-      let old = match w with Insn.W8 -> old_of d | _ -> 0L in
+      let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
       set_dst e d (Sem.apply_width w ~old v);
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
   | Insn.Lea (d, m) ->
@@ -145,12 +149,12 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
       set_dst e d (Sem.effective_address read m);
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
   | Insn.Binop (o, d, s) ->
-      let r, fl = Sem.eval_binop o (old_of d) (operand_value e s Insn.Data) in
+      let r, fl = Sem.eval_binop o (old_of e d) (operand_value e s Insn.Data) in
       set_dst e d r;
       set_dst e Reg.flags fl;
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
   | Insn.Unop (o, d) ->
-      let r, fl = Sem.eval_unop o (old_of d) in
+      let r, fl = Sem.eval_unop o (old_of e d) in
       set_dst e d r;
       set_dst e Reg.flags fl;
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
@@ -191,7 +195,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
   | Insn.Cmov (c, d, s) ->
       let fl = src_value e Reg.flags Insn.Cond_in in
       let v =
-        if Sem.eval_cond c fl then operand_value e s Insn.Data else old_of d
+        if Sem.eval_cond c fl then operand_value e s Insn.Data else old_of e d
       in
       set_dst e d v;
       e.Rob_entry.cycles_left <- alu_latency t insn.Insn.op
@@ -219,7 +223,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           let v = Stage_memory.forwarded_value st addr size in
           e.Rob_entry.mem_value <- v;
           e.Rob_entry.mem_prot <- st.Rob_entry.mem_prot;
-          let old = match w with Insn.W8 -> old_of d | _ -> 0L in
+          let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
           set_dst e d (Sem.apply_width w ~old (Sem.truncate_width w v));
           e.Rob_entry.cycles_left <- t.S.cfg.Config.store_forward_latency;
           if S.wants t Hooks.k_forward then
@@ -231,7 +235,7 @@ let start_execution (t : S.t) (e : Rob_entry.t) =
           let v = Memory.read t.S.mem addr size in
           e.Rob_entry.mem_value <- v;
           e.Rob_entry.mem_prot <- S.l1d_protected t addr size;
-          let old = match w with Insn.W8 -> old_of d | _ -> 0L in
+          let old = match w with Insn.W8 -> old_of e d | _ -> 0L in
           set_dst e d (Sem.apply_width w ~old v);
           let lat = t.S.cfg.Config.load_agu_latency + Mem_hierarchy.access t addr in
           e.Rob_entry.cycles_left <- lat);
@@ -373,8 +377,8 @@ let execution_gated (e : Rob_entry.t) =
   | _ -> false
 
 (* Complete [e]: mark it executed and wake the consumers parked on its
-   wakeup chain (clear their chain memberships and let them rejoin the
-   issue scan from this cycle on). *)
+   wakeup chain (clear their chain memberships and put them back in the
+   ready set, so the issue scan visits them from this cycle on). *)
 let complete_entry (t : S.t) (e : Rob_entry.t) =
   e.Rob_entry.executed <- true;
   e.Rob_entry.t_complete <- t.S.cycle;
@@ -388,7 +392,8 @@ let complete_entry (t : S.t) (e : Rob_entry.t) =
     s := cur.Rob_entry.wl_slot.(slot);
     cur.Rob_entry.wl_next.(slot) <- Rob_entry.null;
     cur.Rob_entry.wl_slot.(slot) <- -1;
-    cur.Rob_entry.dormant <- false
+    cur.Rob_entry.dormant <- false;
+    S.ready_add t (S.idx_of_seq t cur.Rob_entry.seq)
   done
 
 (* Tick the in-flight set: decrement, mark executed at zero, wake the
@@ -492,17 +497,77 @@ let tick (t : S.t) =
    hardware's fixed port-arbitration priority. *)
 let find_port (t : S.t) (pc : Config.port_cfg) cls =
   let n = Array.length pc.Config.port_caps in
-  let rec go i =
-    if i >= n then -1
-    else if
-      Config.port_can pc i cls
-      && (not t.S.port_used.(i))
-      && t.S.port_busy_until.(i) <= t.S.cycle
-    then i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < n
+    && not
+         (Config.port_can pc !i cls
+         && (not t.S.port_used.(!i))
+         && t.S.port_busy_until.(!i) <= t.S.cycle)
+  do
+    incr i
+  done;
+  if !i < n then !i else -1
 
+(* Consider ready entry [e]: the wakeup check, then the policy, MDP and
+   port gates, then [start_execution].  Returns true when [e] issued. *)
+let consider (t : S.t) ap pcfg (e : Rob_entry.t) =
+  if not (sources_ready t e) then false
+  else if
+    execution_gated e && not (t.S.policy.Policy.may_execute_transmitter ap e)
+  then begin
+    t.S.progress <- true;
+    if S.wants t Hooks.k_exec_blocked then S.emit t (Hooks.On_exec_blocked e);
+    false
+  end
+  else if
+    Rob_entry.is_load e
+    && Stage_memory.mdp_flagged t e.Rob_entry.pc
+    && Stage_memory.older_store_addr_unknown t e
+  then false (* memory-dependence predictor: wait for stores *)
+  else begin
+    (* Structural port arbitration: a ready entry must win a compatible
+       free port before it may start.  Losing does not consume an issue
+       slot — a younger entry of another class may still issue behind it
+       this cycle.  The port is claimed only after [start_execution]
+       succeeds (a load parked on Fwd_wait holds neither a slot nor a
+       port). *)
+    let port =
+      match pcfg with
+      | None -> 0
+      | Some pc -> find_port t pc (Rob_entry.op_class e)
+    in
+    if port < 0 then begin
+      t.S.progress <- true;
+      if S.wants t Hooks.k_port_stall then S.emit t (Hooks.On_port_stall e);
+      false
+    end
+    else if start_execution t e then begin
+      (match pcfg with
+      | None -> ()
+      | Some pc ->
+          e.Rob_entry.port <- port;
+          t.S.port_used.(port) <- true;
+          if
+            not
+              pc.Config.cls_pipelined.(Config.op_class_index
+                                         (Rob_entry.op_class e))
+          then
+            t.S.port_busy_until.(port) <- t.S.cycle + e.Rob_entry.cycles_left;
+          if S.wants t Hooks.k_port_bound then
+            S.emit t (Hooks.On_port_bound { port; entry = e }));
+      Entryq.push t.S.inflight e;
+      true
+    end
+    else false
+  end
+
+(* The issue scan: the ready set in seq order — ring slots from
+   [head_idx] to the end of the ring, then from slot 0 up to [head_idx]
+   — until [issue_width] entries have issued.  Dormant entries are not
+   in the set, so they are never visited.  A store issuing may squash
+   from a younger load's seq; the flush clears the flushed slots' bits,
+   so the scan goes on over the older survivors only. *)
 let run (t : S.t) =
   tick t;
   let ap = S.api t in
@@ -511,74 +576,25 @@ let run (t : S.t) =
   (match pcfg with
   | None -> ()
   | Some _ -> Array.fill t.S.port_used 0 (Array.length t.S.port_used) false);
+  let n = S.rob_size t in
+  let head = t.S.head_idx in
   let issued = ref 0 in
-  let cursor = ref t.S.uq_head in
-  while (not (Rob_entry.is_null !cursor)) && !issued < width do
-    let e = !cursor in
-    let next = e.Rob_entry.uq_next in
-    if (not e.Rob_entry.dormant) && sources_ready t e then begin
-      if
-        execution_gated e
-        && not (t.S.policy.Policy.may_execute_transmitter ap e)
-      then begin
-        t.S.progress <- true;
-        if S.wants t Hooks.k_exec_blocked then
-          S.emit t (Hooks.On_exec_blocked e)
-      end
-      else if
-        Rob_entry.is_load e
-        && Stage_memory.mdp_flagged t e.Rob_entry.pc
-        && Stage_memory.older_store_addr_unknown t e
-      then () (* memory-dependence predictor: wait for stores *)
-      else begin
-        (* Structural port arbitration: a ready entry must win a
-           compatible free port before it may start.  Losing does not
-           consume an issue slot — a younger entry of another class may
-           still issue behind it this cycle.  The port is claimed only
-           after [start_execution] succeeds (a load parked on Fwd_wait
-           holds neither a slot nor a port). *)
-        let port =
-          match pcfg with
-          | None -> 0
-          | Some pc -> find_port t pc (Rob_entry.op_class e)
-        in
-        if port < 0 then begin
-          t.S.progress <- true;
-          if S.wants t Hooks.k_port_stall then
-            S.emit t (Hooks.On_port_stall e)
-        end
-        else if start_execution t e then begin
-          incr issued;
-          (match pcfg with
-          | None -> ()
-          | Some pc ->
-              e.Rob_entry.port <- port;
-              t.S.port_used.(port) <- true;
-              if
-                not
-                  pc.Config.cls_pipelined.(Config.op_class_index
-                                             (Rob_entry.op_class e))
-              then
-                t.S.port_busy_until.(port) <-
-                  t.S.cycle + e.Rob_entry.cycles_left;
-              if S.wants t Hooks.k_port_bound then
-                S.emit t (Hooks.On_port_bound { port; entry = e }));
-          S.uq_unlink t e;
-          Entryq.push t.S.inflight e
-        end
-      end
-    end;
-    (* A store issuing above may have squashed from a younger load's seq,
-       flushing [next].  Because the unissued list is seq-ascending, no
-       unissued survivor can sit beyond a flushed [next] — stopping is
-       exactly what the old bounded ring scan did (flushed slots read as
-       empty). *)
-    cursor :=
-      (if
-         Rob_entry.is_null next
-         || S.peek t next.Rob_entry.seq != next
-       then Rob_entry.null
-       else next)
+  let pos = ref head and limit = ref n in
+  while !issued < width && !pos >= 0 do
+    let i = S.ready_next t !pos !limit in
+    if i >= 0 then begin
+      t.S.scan_visits <- t.S.scan_visits + 1;
+      if consider t ap pcfg t.S.rob.(i) then begin
+        S.ready_remove t i;
+        incr issued
+      end;
+      pos := i + 1
+    end
+    else if !limit = n && head > 0 then begin
+      pos := 0;
+      limit := head
+    end
+    else pos := -1
   done
 
 (* Resolve branches: confirm correctly-predicted ones and initiate at most

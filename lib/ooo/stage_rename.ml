@@ -7,12 +7,12 @@
    policies taint.
 
    Rename is also where the O(active) scheduler learns about an entry:
-   it joins the unissued list (and the branch/store/load queues as
-   applicable), and when every non-ready source has an un-executed
-   in-flight producer the entry is parked *dormant* on one of those
-   producers' wakeup chains — the issue scan will not look at it again
-   until a producer executes, which is cycle-exact because such an entry
-   could neither issue nor emit anything. *)
+   it joins the branch/store/load queues as applicable, and the ready
+   set unless every non-ready source has an un-executed in-flight
+   producer — then the entry is parked *dormant* on those producers'
+   wakeup chains and the issue scan will not look at it until a
+   producer executes, which is cycle-exact because such an entry could
+   neither issue nor emit anything. *)
 
 open Protean_isa
 module S = Pipeline_state
@@ -127,12 +127,12 @@ let rename_one (t : S.t) (item : S.fetch_item) (insn : Insn.t) =
     Entryq.push t.S.lsq_stores e
   end;
   (* Scheduler indexes. *)
-  S.uq_push t e;
   if e.Rob_entry.is_branch then begin
     S.bq_push t e;
     if S.wants t Hooks.k_window_open then S.emit t (Hooks.On_window_open e)
   end;
   register_waiters t e;
+  if not e.Rob_entry.dormant then S.ready_add t idx;
   t.S.progress <- true;
   if S.wants t Hooks.k_rename then S.emit t (Hooks.On_rename e)
 

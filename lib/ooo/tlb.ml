@@ -3,7 +3,7 @@
    (AMuLeT's cache+TLB adversary). *)
 
 type t = {
-  entries : int64 array; (* page numbers; -1 = invalid *)
+  entries : int array; (* page numbers (52 bits, exact); -1 = invalid *)
   lru : int array;
   mutable clock : int;
   mutable accesses : int;
@@ -12,7 +12,7 @@ type t = {
 
 let create n =
   {
-    entries = Array.make n Int64.minus_one;
+    entries = Array.make n (-1);
     lru = Array.make n 0;
     clock = 0;
     accesses = 0;
@@ -25,19 +25,24 @@ let page_of addr = Int64.shift_right_logical addr 12
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let page = page_of addr in
+  let page = Int64.to_int (page_of addr) in
   let n = Array.length t.entries in
-  let rec find i = if i >= n then None else if Int64.equal t.entries.(i) page then Some i else find (i + 1) in
-  match find 0 with
-  | Some i ->
-      t.lru.(i) <- t.clock;
-      true
-  | None ->
-      t.misses <- t.misses + 1;
-      let victim = ref 0 in
-      for i = 1 to n - 1 do
-        if t.lru.(i) < t.lru.(!victim) then victim := i
-      done;
-      t.entries.(!victim) <- page;
-      t.lru.(!victim) <- t.clock;
-      false
+  let i = ref 0 in
+  while !i < n && t.entries.(!i) <> page do
+    incr i
+  done;
+  let i = !i in
+  if i < n then begin
+    t.lru.(i) <- t.clock;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let victim = ref 0 in
+    for i = 1 to n - 1 do
+      if t.lru.(i) < t.lru.(!victim) then victim := i
+    done;
+    t.entries.(!victim) <- page;
+    t.lru.(!victim) <- t.clock;
+    false
+  end

@@ -11,7 +11,7 @@
      zero-cost path;
 
    - the paranoid scheduler cross-check: with --paranoid-sched the
-     pipeline re-derives every scheduler index (unissued list, branch
+     pipeline re-derives every scheduler index (ready set, branch
      list, in-flight queue, LSQ queues, wakeup chains, dormancy) from a
      brute-force ROB scan each cycle and faults on any mismatch.  The
      whole golden corpus must run to completion under it and still

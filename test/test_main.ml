@@ -3,6 +3,7 @@ let () =
     [
       ("isa", Test_isa.tests);
       ("arch", Test_arch.tests);
+      ("memmodel", Test_memmodel.tests);
       ("protcc", Test_protcc.tests);
       ("certify", Test_certify.tests);
       ("ooo", Test_ooo.tests);
