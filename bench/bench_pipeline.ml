@@ -18,6 +18,12 @@
      visited per simulated cycle, the per-stage
      wall-clock breakdown from the [Profile] observer, and the overhead
      the profiler itself adds (the off-path must stay measurably free);
+   - telemetry: the hotloop with the collection switches on but
+     nothing attached, which must match the plain loop's simulated
+     cycles and minor words per cycle exactly;
+   - denials: lbm under STT on the P-core — gate denials, skipped-cycle
+     share and minor words per simulated cycle, the work the
+     policy-denial memos and their skip-ahead remove;
    - grid: the golden corpus (44 mixed single/multicore cells) at
      -j 1/2/4, asserting the lines are identical at every width and
      recording wall-clock speedup over serial.
@@ -25,9 +31,11 @@
    `--smoke` is the CI guard: it replays a reduced prefix of the golden
    corpus against test/golden_pipeline.expected (bit-identity) and
    fails if minor words per cycle exceed the checked-in ceiling in
-   bench/hotloop_ceiling.txt, or issue-scan visits per cycle exceed
-   [scan_ceiling] — an allocation or scheduler-work regression in the
-   cycle loop breaks the build before it breaks throughput.
+   bench/hotloop_ceiling.txt, issue-scan visits per cycle exceed
+   [scan_ceiling], detached telemetry changes the loop, or the denials
+   cell leaves its bounds — an allocation or scheduler-work regression
+   in the cycle loop breaks the build before it breaks throughput.
+   Every gate is a deterministic work counter.
 
    Speedups are only meaningful relative to the `topology` block (a
    1-core container can verify determinism but not show speedup; extra
@@ -177,52 +185,130 @@ let bench_hotloop ?(config = Config.p_core) ?(label = "hotloop") program =
     hl_stages = Profile.stage_breakdown p;
   }
 
-(* Telemetry-detached throughput: the collection switches flipped on
-   (exactly what `--metrics-out` does in a worker process) but no
-   profiler attached and no exporter draining anything.  Nothing in the
-   cycle path reads the switches — only [Experiment]'s attach points do
-   — so the loop must be unchanged; this measurement guards that the
-   telemetry layer stays free when detached.  Best-of-3 on each side to
-   keep the ratio out of scheduler noise. *)
-type telemetry_overhead = {
-  to_plain_wall : float;
-  to_detached_wall : float;
-  to_ratio : float; (* (detached - plain) / plain *)
+(* Telemetry detached: the collection switches flipped on (exactly what
+   `--metrics-out` does in a worker process) but no profiler attached
+   and no exporter draining anything.  Nothing in the cycle path reads
+   the switches — only [Experiment]'s attach points do — so the loop
+   must be unchanged: the same simulated cycles and exactly the same
+   minor words per cycle as the plain loop, both deterministic work
+   counters. *)
+type telemetry_detached = {
+  td_plain_cycles : int;
+  td_plain_mwpc : float;
+  td_detached_cycles : int;
+  td_detached_mwpc : float;
 }
 
 let bench_telemetry_detached program =
   let d = Defense.find "prot-track" in
+  let measure () =
+    let t =
+      Pipeline.create Config.p_core (d.Defense.make ()) program ~overlays:[]
+    in
+    let g0 = Gc.minor_words () in
+    drive t;
+    let g1 = Gc.minor_words () in
+    let cycles = t.Protean_ooo.Pipeline_state.cycle in
+    (cycles, (g1 -. g0) /. float_of_int cycles)
+  in
+  for _ = 1 to 5 do
+    ignore (measure ())
+  done;
+  let plain_cycles, plain_mwpc = measure () in
+  Protean_harness.Experiment.collect_policy_metrics := true;
+  Protean_harness.Experiment.collect_flame := true;
+  let detached_cycles, detached_mwpc = measure () in
+  Protean_harness.Experiment.collect_policy_metrics := false;
+  Protean_harness.Experiment.collect_flame := false;
+  Printf.printf
+    "telemetry: detached %d cycles, %.2f minor words/cycle vs plain %d \
+     cycles, %.2f\n%!"
+    detached_cycles detached_mwpc plain_cycles plain_mwpc;
+  {
+    td_plain_cycles = plain_cycles;
+    td_plain_mwpc = plain_mwpc;
+    td_detached_cycles = detached_cycles;
+    td_detached_mwpc = detached_mwpc;
+  }
+
+let telemetry_json oc (t : telemetry_detached) =
+  Printf.fprintf oc "  \"telemetry\": {\n";
+  Printf.fprintf oc
+    "    \"plain_cycles\": %d, \"plain_minor_words_per_cycle\": %.2f,\n"
+    t.td_plain_cycles t.td_plain_mwpc;
+  Printf.fprintf oc
+    "    \"detached_cycles\": %d, \"detached_minor_words_per_cycle\": %.2f\n"
+    t.td_detached_cycles t.td_detached_mwpc;
+  Printf.fprintf oc "  }"
+
+(* Policy-denial stalls: lbm under STT on the P-core, where transmitters
+   wait on tainted addresses most of the run.  Counted on the simulated
+   cycles (skipped ones included): gate queries that denied (memo
+   replays are not queries), the share of cycles skip-ahead jumped, and
+   minor words.  A scan that re-asked every stalled transmitter each
+   cycle would read 32.65 denials per cycle here, and one whose denials
+   marked progress would skip almost nothing.  Measured: 10.44 gate
+   denials, a 0.337 skipped share and 47.1 minor words per cycle (46.5
+   in the dev profile); each bound is that value plus 10% (minus 10% for
+   the share). *)
+let denial_ceiling = 11.5
+let skipped_floor = 0.303
+let denial_mw_ceiling = 51.8
+
+type denials = {
+  dn_cycles : int;
+  dn_gate_denials_per_cycle : float;
+  dn_skipped_share : float;
+  dn_minor_words_per_cycle : float;
+}
+
+let denial_workload () =
+  match (Suite.find "lbm").Suite.kind with
+  | Suite.Single f -> f ()
+  | Suite.Multi _ -> assert false
+
+let bench_denials program =
+  let d = Defense.find "stt" in
   let make () =
     Pipeline.create Config.p_core (d.Defense.make ()) program ~overlays:[]
   in
-  (* Best-of-10 per side: the skip-ahead + GC-tuned loop finishes this
-     workload in single-digit milliseconds, so a best-of-3 delta gated
-     CI on scheduler noise. *)
-  let best f =
-    List.fold_left min infinity
-      (List.init 10 (fun _ -> snd (timed (fun () -> drive (f ())))))
+  drive (make ());
+  let t = make () in
+  let g0 = Gc.minor_words () in
+  drive t;
+  let g1 = Gc.minor_words () in
+  let st = t.Protean_ooo.Pipeline_state.stats in
+  let cycles = float_of_int st.Stats.cycles in
+  let r =
+    {
+      dn_cycles = st.Stats.cycles;
+      dn_gate_denials_per_cycle =
+        float_of_int t.Protean_ooo.Pipeline_state.gate_denials /. cycles;
+      dn_skipped_share = float_of_int st.Stats.skipped_cycles /. cycles;
+      dn_minor_words_per_cycle = (g1 -. g0) /. cycles;
+    }
   in
-  for _ = 1 to 5 do
-    drive (make ())
-  done;
-  let plain = best make in
-  Protean_harness.Experiment.collect_policy_metrics := true;
-  Protean_harness.Experiment.collect_flame := true;
-  let detached = best make in
-  Protean_harness.Experiment.collect_policy_metrics := false;
-  Protean_harness.Experiment.collect_flame := false;
-  let ratio = (detached -. plain) /. plain in
   Printf.printf
-    "telemetry: detached %.4fs vs plain %.4fs (overhead %+.1f%%)\n%!"
-    detached plain (ratio *. 100.);
-  { to_plain_wall = plain; to_detached_wall = detached; to_ratio = ratio }
+    "denials (lbm/stt): %d cycles, %.2f gate denials/cycle, %.3f skipped, \
+     %.1f minor words/cycle\n%!"
+    r.dn_cycles r.dn_gate_denials_per_cycle r.dn_skipped_share
+    r.dn_minor_words_per_cycle;
+  r
 
-let telemetry_json oc (t : telemetry_overhead) =
-  Printf.fprintf oc "  \"telemetry\": {\n";
+let denials_json oc (r : denials) =
+  Printf.fprintf oc "  \"denials\": {\n";
   Printf.fprintf oc
-    "    \"plain_wall_s\": %.4f, \"detached_wall_s\": %.4f,\n" t.to_plain_wall
-    t.to_detached_wall;
-  Printf.fprintf oc "    \"detached_overhead\": %.4f\n" t.to_ratio;
+    "    \"bench\": \"lbm\", \"defense\": \"stt\", \"core\": \"p\", \
+     \"cycles\": %d,\n"
+    r.dn_cycles;
+  Printf.fprintf oc
+    "    \"gate_denials_per_cycle\": %.2f, \"skipped_share\": %.3f, \
+     \"minor_words_per_cycle\": %.1f,\n"
+    r.dn_gate_denials_per_cycle r.dn_skipped_share r.dn_minor_words_per_cycle;
+  Printf.fprintf oc
+    "    \"gate_denials_ceiling\": %.2f, \"skipped_share_floor\": %.3f, \
+     \"minor_words_ceiling\": %.1f\n"
+    denial_ceiling skipped_floor denial_mw_ceiling;
   Printf.fprintf oc "  }"
 
 (* On a single-core host the timed -j sweep is meaningless — every lane
@@ -356,17 +442,43 @@ let smoke () =
     (float_of_int hp.hl_cycles /. hp.hl_loop_wall
     /. (float_of_int hl.hl_cycles /. hl.hl_loop_wall));
   check_scan "hotloop-ports" hp;
-  (* Detached telemetry must not tax the loop: the acceptance bound is
-     2%, widened a little here against wall-clock noise on shared CI
-     runners (best-of-3 already smooths most of it). *)
+  (* Detached telemetry must not touch the loop: same cycles, same
+     allocation, exactly. *)
   let tele = bench_telemetry_detached program in
-  if tele.to_ratio > 0.05 then (
+  if
+    tele.td_detached_cycles <> tele.td_plain_cycles
+    || tele.td_detached_mwpc <> tele.td_plain_mwpc
+  then (
     Printf.eprintf
-      "smoke: detached telemetry costs %.1f%% of hotloop throughput\n"
-      (tele.to_ratio *. 100.);
+      "smoke: detached telemetry changed the loop: %d cycles, %.2f minor \
+       words/cycle vs plain %d, %.2f\n"
+      tele.td_detached_cycles tele.td_detached_mwpc tele.td_plain_cycles
+      tele.td_plain_mwpc;
     exit 1);
-  Printf.printf "smoke: detached telemetry overhead %+.1f%% within bound\n%!"
-    (tele.to_ratio *. 100.);
+  Printf.printf "smoke: detached telemetry leaves the loop unchanged\n%!";
+  (* Policy-denial stalls: memo replays instead of gate queries, and
+     denial-only spans skipped. *)
+  let dn = bench_denials (denial_workload ()) in
+  let gate what ok value bound =
+    if not ok then (
+      Printf.eprintf "smoke: lbm/stt %s %.3f outside bound %.3f\n" what value
+        bound;
+      exit 1)
+  in
+  gate "gate denials/cycle"
+    (dn.dn_gate_denials_per_cycle <= denial_ceiling)
+    dn.dn_gate_denials_per_cycle denial_ceiling;
+  gate "skipped share"
+    ((not (Pipeline.skip_ahead_enabled ())) || dn.dn_skipped_share >= skipped_floor)
+    dn.dn_skipped_share skipped_floor;
+  gate "minor words/cycle"
+    (dn.dn_minor_words_per_cycle <= denial_mw_ceiling)
+    dn.dn_minor_words_per_cycle denial_mw_ceiling;
+  Printf.printf
+    "smoke: lbm/stt %.2f gate denials/cycle (ceiling %.2f), %.3f skipped \
+     (floor %.3f), %.1f minor words/cycle (ceiling %.1f)\n%!"
+    dn.dn_gate_denials_per_cycle denial_ceiling dn.dn_skipped_share
+    skipped_floor dn.dn_minor_words_per_cycle denial_mw_ceiling;
   (* Scheduler + ledger gates on the same workload, instrumented once:
      event-driven skip-ahead must actually be skipping idle cycles (the
      source stat of protean_cycles_skipped_total), and an attached
@@ -436,6 +548,8 @@ let smoke () =
   Printf.fprintf oc "    \"scan_visits_per_cycle\": %.2f\n  },\n"
     hp.hl_scan_visits_per_cycle;
   telemetry_json oc tele;
+  Printf.fprintf oc ",\n";
+  denials_json oc dn;
   Printf.fprintf oc ",\n  \"scheduler\": { \"cycles_skipped\": %d },\n" skipped;
   Printf.fprintf oc "  \"windows\": {%s}\n"
     (String.concat ", "
@@ -462,6 +576,7 @@ let () =
         ~label:"hotloop-ports" program
     in
     let tele = bench_telemetry_detached program in
+    let dn = bench_denials (denial_workload ()) in
     let cells, t1, points, sweep_timed = bench_grid () in
     let oc = open_out out in
     let host_cores = Domain.recommended_domain_count () in
@@ -524,6 +639,8 @@ let () =
     Printf.fprintf oc "    \"scan_visits_per_cycle\": %.2f\n  },\n"
       hp.hl_scan_visits_per_cycle;
     telemetry_json oc tele;
+    Printf.fprintf oc ",\n";
+    denials_json oc dn;
     Printf.fprintf oc ",\n";
     Printf.fprintf oc "  \"grid\": {\n";
     Printf.fprintf oc

@@ -170,11 +170,10 @@ let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
   let attach_ledger (t : Pipeline.t) =
     if !E.collect_window then ledgers := (t, Spec_window.attach t) :: !ledgers
   in
-  let finish_tele policies =
+  let finish_tele runs =
     List.iter Profile.detach !attached;
     let pm =
-      if !E.collect_policy_metrics then E.merge_policy_metrics policies
-      else []
+      if !E.collect_policy_metrics then E.merge_policy_metrics runs else []
     in
     let fl = match flame_acc with None -> [] | Some acc -> Flame.to_list acc in
     let wn =
@@ -217,7 +216,7 @@ let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
             attach_ledger t)
           config policy program ~overlays:[]
       in
-      let pm, fl, wn = finish_tele [ policy ] in
+      let pm, fl, wn = finish_tele [ (policy, r.Pipeline.stats) ] in
       let report =
         Format.asprintf "%s under %s on %s:@.  %a@.  measured cycles: %d@."
           bench d.Defense.id config.Config.name Stats.pp r.Pipeline.stats
@@ -245,7 +244,9 @@ let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
         Multicore.run ~spec_model ~fuel:50_000_000 ~invariants
           ~invariant_every ~on_core config ~make_policy programs
       in
-      let pm, fl, wn = finish_tele !policies in
+      let pm, fl, wn =
+        finish_tele (E.core_runs (List.rev !policies) r.Multicore.per_core)
+      in
       let buf = Buffer.create 256 in
       let ppf = Format.formatter_of_buffer buf in
       Format.fprintf ppf "%s under %s on %d cores: %d cycles@." bench

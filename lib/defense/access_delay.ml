@@ -10,17 +10,14 @@
 open Protean_ooo
 
 let make () =
-  let n_fwd_blocks = ref 0 in
   {
     Policy.unsafe with
     Policy.name = "access-delay";
     may_forward =
       (fun api e ->
-        if Rob_entry.is_load e then begin
-          let ok = not (Policy.is_speculative api e) in
-          if not ok then incr n_fwd_blocks;
-          ok
-        end
-        else true);
-    metrics = (fun () -> [ ("forward_blocks", !n_fwd_blocks) ]);
+        (not (Rob_entry.is_load e)) || not (Policy.is_speculative api e));
+    (* Every denied forward is one wakeup-delay cycle of one source (a
+       denial must not count itself: see [Policy]). *)
+    metrics =
+      (fun st -> [ ("forward_blocks", st.Stats.wakeup_delay_cycles) ]);
   }

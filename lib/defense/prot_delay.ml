@@ -32,7 +32,6 @@ let is_access (e : Rob_entry.t) =
   || (Rob_entry.is_load e && e.Rob_entry.addr_ready && e.Rob_entry.mem_prot)
 
 let make ?(selective_wakeup = true) () =
-  let n_fwd_blocks = ref 0 in
   let n_selective_passes = ref 0 in
   let may_execute_transmitter api (e : Rob_entry.t) =
     (not (protected_sensitive e)) || not (Policy.is_speculative api e)
@@ -49,9 +48,10 @@ let make ?(selective_wakeup = true) () =
     else begin
       (* Accesses with protected outputs may wake their dependents
          immediately: the dependents are access instructions themselves
-         and will be delayed as needed. *)
+         and will be delayed as needed.  Only the allowed verdict is
+         counted here — a denial must have no side effects ([Policy]). *)
       let ok = selective_wakeup && e.Rob_entry.out_prot in
-      if ok then incr n_selective_passes else incr n_fwd_blocks;
+      if ok then incr n_selective_passes;
       ok
     end
   in
@@ -64,9 +64,10 @@ let make ?(selective_wakeup = true) () =
     may_resolve;
     may_forward;
     metrics =
-      (fun () ->
+      (fun st ->
         [
-          ("forward_blocks", !n_fwd_blocks);
+          (* every denied forward is one wakeup-delay cycle *)
+          ("forward_blocks", st.Stats.wakeup_delay_cycles);
           ("selective_wakeup_passes", !n_selective_passes);
         ]);
   }

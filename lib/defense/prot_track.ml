@@ -141,7 +141,7 @@ let make ?(predictor = true) ?(predictor_entries = 1024) () =
       predictor_update pred e.Rob_entry.pc actual_access
     end
   in
-  let metrics () =
+  let metrics _ =
     [
       ("taints_applied", !n_taints);
       ("pred_no_access", !n_pred_no_access);

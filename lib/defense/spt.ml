@@ -48,14 +48,13 @@ let src_pub st (e : Rob_entry.t) api i =
 (* Transmitted-status of the value a register operand holds, looked up in
    the per-entry snapshot filled at rename. *)
 let reg_pub (e : Rob_entry.t) r =
-  let n = Array.length e.Rob_entry.srcs in
-  let rec loop i =
-    if i >= n then false
-    else if Reg.equal (fst e.Rob_entry.srcs.(i)) r then
-      e.Rob_entry.pol_src_pub.(i)
-    else loop (i + 1)
-  in
-  loop 0
+  let srcs = e.Rob_entry.srcs in
+  let n = Array.length srcs in
+  let i = ref 0 in
+  while !i < n && not (Reg.equal (fst srcs.(!i)) r) do
+    incr i
+  done;
+  !i < n && e.Rob_entry.pol_src_pub.(!i)
 
 (* Is the (non-flags) value produced by [e] transmitted-equivalent to
    already-transmitted data?  SPT's unprotection extends from directly
@@ -71,26 +70,26 @@ let reg_pub (e : Rob_entry.t) r =
    Flags outputs are never transmitted-equivalent: a comparison is not
    invertible.  They become transmitted only when a conditional branch
    retires (fully transmitting its condition). *)
+let src_ok (e : Rob_entry.t) = function
+  | Insn.Imm _ -> true
+  | Insn.Reg r -> reg_pub e r
+
+let reg_opt_pub (e : Rob_entry.t) = function
+  | Some r -> reg_pub e r
+  | None -> true
+
 let out_pub st (e : Rob_entry.t) =
-  let op = e.Rob_entry.insn.Insn.op in
-  let src_ok = function
-    | Insn.Imm _ -> true
-    | Insn.Reg r -> reg_pub e r
-  in
-  match op with
-  | Insn.Mov (Insn.W64, _, s) -> src_ok s
+  match e.Rob_entry.insn.Insn.op with
+  | Insn.Mov (Insn.W64, _, s) -> src_ok e s
   | Insn.Mov (Insn.W32, d, s) ->
-      if st.w32_fix then src_ok s else src_ok s && reg_pub e d
+      if st.w32_fix then src_ok e s else src_ok e s && reg_pub e d
   | Insn.Mov (Insn.W8, _, _) -> false (* partial merge: not invertible *)
-  | Insn.Lea (_, m) -> (
+  | Insn.Lea (_, m) ->
       (* base + index*scale + disp is invertible in at most one register
-         operand. *)
-      match Insn.mem_regs m with
-      | [ r ] -> reg_pub e r
-      | [] -> true
-      | _ -> List.for_all (fun r -> reg_pub e r) (Insn.mem_regs m))
+         operand; with two, both must already be transmitted. *)
+      reg_opt_pub e m.Insn.base && reg_opt_pub e m.Insn.index
   | Insn.Binop ((Insn.Add | Insn.Sub | Insn.Xor), d, s) ->
-      reg_pub e d && src_ok s
+      reg_pub e d && src_ok e s
   | Insn.Binop ((Insn.And | Insn.Or | Insn.Shl | Insn.Shr | Insn.Sar | Insn.Mul), _, _)
     ->
       false
@@ -105,17 +104,39 @@ let out_pub st (e : Rob_entry.t) =
   | Insn.Nop | Insn.Halt ->
       false
 
-(* Sensitive operands all hold transmitted data? *)
+(* Sensitive operands all hold transmitted data?  A loop, not
+   [Array.iteri]: the execution gate asks this once per denied
+   transmitter per cycle, and a closure over [e] would be allocated on
+   every call. *)
 let sensitive_pub (e : Rob_entry.t) =
-  let ok = ref true in
-  Array.iteri
-    (fun i (_, role) ->
-      match role with
-      | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
-          if not e.Rob_entry.pol_src_pub.(i) then ok := false
-      | Insn.Data -> ())
-    e.Rob_entry.srcs;
-  !ok
+  let srcs = e.Rob_entry.srcs in
+  let n = Array.length srcs in
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    match snd srcs.(!i) with
+    | Insn.Addr | Insn.Cond_in | Insn.Target | Insn.Divide ->
+        e.Rob_entry.pol_src_pub.(!i)
+    | Insn.Data -> true
+  do
+    incr i
+  done;
+  !i >= n
+
+(* Transmitted-status of destination [r] of committing [e]: the stack
+   pointer update of pop/ret is public arithmetic on rsp even though the
+   loaded destination may be private; fresh flags are untransmitted. *)
+let dst_pub (e : Rob_entry.t) r =
+  if Reg.equal r Reg.flags then false
+  else
+    match e.Rob_entry.insn.Insn.op with
+    | Insn.Pop d ->
+        if Reg.equal r d then e.Rob_entry.pol_out_pub else reg_pub e Reg.rsp
+    | Insn.Ret ->
+        if Reg.equal r Reg.tmp then e.Rob_entry.pol_out_pub
+        else reg_pub e Reg.rsp
+    | _ -> e.Rob_entry.pol_out_pub
 
 let make ?(w32_fix = true) () =
   let st =
@@ -133,9 +154,9 @@ let make ?(w32_fix = true) () =
   let n_public_loads = ref 0 in
   let n_shadow_stores = ref 0 in
   let on_rename api (e : Rob_entry.t) =
-    Array.iteri
-      (fun i _ -> e.Rob_entry.pol_src_pub.(i) <- src_pub st e api i)
-      e.Rob_entry.pol_src_pub;
+    for i = 0 to Array.length e.Rob_entry.pol_src_pub - 1 do
+      e.Rob_entry.pol_src_pub.(i) <- src_pub st e api i
+    done;
     e.Rob_entry.pol_out_pub <- out_pub st e;
     (* AccessTrack-style taint: every load taints its output at rename. *)
     let inherited = Policy.inherited_taint api e in
@@ -164,24 +185,12 @@ let make ?(w32_fix = true) () =
           || (e.Rob_entry.pol_out_pub && not (Taint.own_load_tainted api e))))
   in
   let on_commit _api (e : Rob_entry.t) =
-    (* Outputs derived from transmitted data are transmitted.  The stack
-       pointer update of pop/ret is public arithmetic on rsp even though
-       the loaded destination may be private. *)
+    (* Outputs derived from transmitted data are transmitted. *)
     let op = e.Rob_entry.insn.Insn.op in
-    let dst_pub r =
-      if Reg.equal r Reg.flags then false (* fresh flags: untransmitted *)
-      else
-        match op with
-        | Insn.Pop d ->
-            if Reg.equal r d then e.Rob_entry.pol_out_pub else reg_pub e Reg.rsp
-        | Insn.Ret ->
-            if Reg.equal r Reg.tmp then e.Rob_entry.pol_out_pub
-            else reg_pub e Reg.rsp
-        | _ -> e.Rob_entry.pol_out_pub
-    in
-    Array.iter
-      (fun r -> st.reg_xmit.(Reg.to_int r) <- dst_pub r)
-      e.Rob_entry.dsts;
+    let dsts = e.Rob_entry.dsts in
+    for i = 0 to Array.length dsts - 1 do
+      st.reg_xmit.(Reg.to_int dsts.(i)) <- dst_pub e dsts.(i)
+    done;
     (* Stores write their data operand's status into the memory shadow;
        call pushes a public return address. *)
     if Rob_entry.is_store e then begin
@@ -199,18 +208,18 @@ let make ?(w32_fix = true) () =
     end;
     (* Retiring a transmitter architecturally transmits its sensitive
        register operands: they are now public forever. *)
-    if Rob_entry.is_transmitter e then incr n_xmit_retire;
-    if Rob_entry.is_transmitter e then
-      Array.iteri
-        (fun i (r, role) ->
-          match role with
-          | Insn.Addr | Insn.Cond_in | Insn.Target ->
-              ignore i;
-              st.reg_xmit.(Reg.to_int r) <- true
-          | Insn.Divide | Insn.Data -> ())
-        e.Rob_entry.srcs
+    if Rob_entry.is_transmitter e then begin
+      incr n_xmit_retire;
+      let srcs = e.Rob_entry.srcs in
+      for i = 0 to Array.length srcs - 1 do
+        match srcs.(i) with
+        | r, (Insn.Addr | Insn.Cond_in | Insn.Target) ->
+            st.reg_xmit.(Reg.to_int r) <- true
+        | _, (Insn.Divide | Insn.Data) -> ()
+      done
+    end
   in
-  let metrics () =
+  let metrics _ =
     [
       ("transmitter_retirements", !n_xmit_retire);
       ("public_load_upgrades", !n_public_loads);

@@ -299,20 +299,28 @@ let fold_flame ~root program (snap : Profile.snapshot) acc =
     snap.Profile.snap_flame;
   Flame.add acc ~frames:(root @ [ "(no-commit)" ]) snap.Profile.snap_residual
 
-(* Sum named policy counters across cores (sorted by name, so the list
-   is deterministic whatever order cores were created in). *)
-let merge_policy_metrics (policies : Policy.t list) =
+(* Sum named policy counters across cores, each core's policy read
+   against that core's stats (sorted by name, so the list is
+   deterministic whatever order cores were created in). *)
+let merge_policy_metrics (runs : (Policy.t * Stats.t) list) =
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun (p : Policy.t) ->
+    (fun ((p : Policy.t), st) ->
       List.iter
         (fun (k, v) ->
           let prev = try Hashtbl.find tbl k with Not_found -> 0 in
           Hashtbl.replace tbl k (prev + v))
-        (p.Policy.metrics ()))
-    policies;
+        (p.Policy.metrics st))
+    runs;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
+
+(* Pair each core's policy (in creation order, which is core order) with
+   that core's stats. *)
+let core_runs policies (per_core : Pipeline.result array) =
+  List.combine policies
+    (Array.to_list
+       (Array.map (fun (c : Pipeline.result) -> c.Pipeline.stats) per_core))
 
 let execute spec =
   let bkey =
@@ -338,11 +346,9 @@ let execute spec =
   let attach_ledger (t : Pipeline.t) =
     if !collect_window then ledgers := (t, Spec_window.attach t) :: !ledgers
   in
-  let finish_tele policies =
+  let finish_tele runs =
     detach_all ();
-    let pm =
-      if !collect_policy_metrics then merge_policy_metrics policies else []
-    in
+    let pm = if !collect_policy_metrics then merge_policy_metrics runs else [] in
     let fl = match flame_acc with None -> [] | Some acc -> Flame.to_list acc in
     let wn =
       List.fold_left
@@ -370,7 +376,9 @@ let execute spec =
             attach_ledger t)
           spec.config policy program ~overlays:[]
       in
-      let policy_metrics, flame, window = finish_tele [ policy ] in
+      let policy_metrics, flame, window =
+        finish_tele [ (policy, r.Pipeline.stats) ]
+      in
       if not r.Pipeline.finished then
         failwith
           (Printf.sprintf "experiment %s/%s did not finish"
@@ -404,7 +412,9 @@ let execute spec =
           ~decode:fe.fe_decode ~fuel:default_fuel ~on_core spec.config
           ~make_policy programs
       in
-      let policy_metrics, flame, window = finish_tele !policies in
+      let policy_metrics, flame, window =
+        finish_tele (core_runs (List.rev !policies) r.Multicore.per_core)
+      in
       if not r.Multicore.finished then
         failwith
           (Printf.sprintf "experiment %s/%s did not finish"

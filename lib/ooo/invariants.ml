@@ -8,9 +8,10 @@
 
    [check] audits a pipeline snapshot and returns the violations it
    finds; [check_sched] cross-checks the O(active) scheduler's redundant
-   indexes (ready set, branch list, in-flight deque, store/load queues,
-   wakeup chains, dormancy) against a brute-force ROB scan — it is what
-   [Pipeline.step] runs per cycle under [--paranoid-sched].  [checker]
+   indexes (ready set, policy-denial memos, branch list, in-flight
+   deque, store/load queues, wakeup chains, dormancy) against a
+   brute-force ROB scan — it is what [Pipeline.step] runs per cycle
+   under [--paranoid-sched].  [checker]
    packages both as a per-cycle hook (usable directly as [Pipeline.run]'s
    [on_cycle]) with off/warn/fail modes, sampled every [every] cycles;
    [attach] subscribes the same checker to the pipeline's hook bus on
@@ -78,6 +79,31 @@ let check_sched (t : S.t) : violation list =
   for idx = n to (Array.length t.S.ready lsl 5) - 1 do
     if S.ready_mem t idx then fail "sched-ready" "padding bit %d is set" idx
   done;
+  (* Policy-denial memos: only on a live, unissued slot whose ready bit
+     is set, and the running totals skip-ahead multiplies are exactly the
+     sums over the memoised slots. *)
+  let wakeup_total = ref 0 and exec_total = ref 0 in
+  for idx = 0 to n - 1 do
+    let w = t.S.memo.(idx) in
+    if w <> 0 then begin
+      let e = t.S.rob.(idx) in
+      if not (in_window.(idx) && live e) then
+        fail "sched-memo" "slot %d outside the live window has memo %d" idx w
+      else if e.Rob_entry.issued || not (S.ready_mem t idx) then
+        fail "sched-memo" "seq %d (slot %d) has memo %d but is %s"
+          e.Rob_entry.seq idx w
+          (if e.Rob_entry.issued then "issued" else "not ready");
+      if w > 0 then wakeup_total := !wakeup_total + w
+      else if w = S.memo_exec then incr exec_total
+      else fail "sched-memo" "slot %d has malformed memo %d" idx w
+    end
+  done;
+  if !wakeup_total <> t.S.memo_wakeup_total then
+    fail "sched-memo" "wakeup total %d, memoised slots sum to %d"
+      t.S.memo_wakeup_total !wakeup_total;
+  if !exec_total <> t.S.memo_exec_total then
+    fail "sched-memo" "execution total %d, memoised slots count %d"
+      t.S.memo_exec_total !exec_total;
   (* Unresolved-branch list: exactly the live unresolved branches. *)
   let bq_count = ref 0 in
   let prev_seq = ref min_int in
@@ -144,7 +170,7 @@ let check_sched (t : S.t) : violation list =
      Dormancy: a dormant entry must be unissued with at least one
      non-ready source and *no* non-ready source whose producer is
      committed or executed (such an entry must stay active: its forward
-     could be policy-gated, which emits per-cycle events). *)
+     could be policy-gated, which counts per cycle). *)
   let chain_nodes = ref 0 in
   S.iter_rob t (fun p ->
       let c = ref p.Rob_entry.waiters in

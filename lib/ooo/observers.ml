@@ -12,7 +12,11 @@
      per-stage commit timing.  Installed only when tracing is enabled:
      it is the sole claimant of the expensive kinds ([k_mem_path],
      [k_div_busy]), so untraced runs never pay for them.
-   - "stats": the [Stats] counters.
+   - "stats": the [Stats] counters.  Not the wakeup and execution
+     denial counts: the issue scan adds those itself (and skip-ahead in
+     bulk), so a denial needs no event unless some other subscriber
+     wants it — which is what lets a stall made only of denials be
+     quiet.
 
    Each subscriber declares the event kinds it handles, which feeds the
    bus's interest mask: an emit site whose kind has no subscriber costs
@@ -74,8 +78,6 @@ let stats_kinds =
   Hooks.
     [
       k_fetch;
-      k_wakeup_blocked;
-      k_exec_blocked;
       k_resolve_blocked;
       k_mem_access;
       k_load_executed;
@@ -94,10 +96,6 @@ let stats_handler (t : S.t) (ev : Hooks.event) =
   let st = t.S.stats in
   match ev with
   | Hooks.On_fetch _ -> st.Stats.fetched <- st.Stats.fetched + 1
-  | Hooks.On_wakeup_blocked _ ->
-      st.Stats.wakeup_delay_cycles <- st.Stats.wakeup_delay_cycles + 1
-  | Hooks.On_exec_blocked _ ->
-      st.Stats.transmitter_stall_cycles <- st.Stats.transmitter_stall_cycles + 1
   | Hooks.On_resolve_blocked _ ->
       st.Stats.resolution_delay_cycles <- st.Stats.resolution_delay_cycles + 1
   | Hooks.On_mem_access { l1_hit; _ } ->

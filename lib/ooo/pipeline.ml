@@ -114,20 +114,26 @@ let create ?trace ?squash_bug ?spec_model ?shared_l3 ?decode (cfg : Config.t)
 
    A cycle is *quiet* when no stage set [progress]: nothing fetched,
    renamed, issued, completed, resolved, committed or squashed, no
-   source-readiness flip, and no per-cycle stall accounting (every
-   blocked/stall emission site marks progress, because its counter must
-   increment each spun cycle).  Replaying a quiet cycle changes nothing
-   except the cycle counter and the in-flight [cycles_left] decrements —
-   both of which [apply_skip] performs in bulk — so jumping from one is
-   bit-exact: same architectural state, same stats, same trace, same
-   event stream as the spinning machine.
+   source-readiness flip, and no per-cycle stall accounting other than
+   policy denials (the resolve, port and writeback stall sites mark
+   progress, because their counters must increment each spun cycle).
+   Wakeup and execution denials mark progress only when a subscriber
+   wants their [On_wakeup_blocked]/[On_exec_blocked] events: their
+   counts are memoised per slot and summed in two running totals
+   ([Pipeline_state.memo_set]).  Replaying a quiet cycle changes nothing
+   except the cycle counter, the in-flight [cycles_left] decrements and
+   those denial counts — all of which [apply_skip] performs in bulk — so
+   jumping from one is bit-exact: same architectural state, same stats,
+   same trace, same event stream as the spinning machine.
 
-   Policy gates are safe to invoke on a quiet cycle: no gate reads the
-   clock, [may_execute_transmitter] and [may_resolve] are pure in every
-   defense, and [may_forward] — the one gate that bumps policy-local
-   counters (AccessDelay/ProtDelay block metrics) — has a single call
-   site whose allow *and* deny branches both mark progress, so its
-   per-spun-cycle increments are never elided.
+   Policy gates are safe to invoke on a quiet cycle: by the denial
+   contract in [Policy] a denial has no side effects and depends only on
+   the entry, its producers and the speculation frontier, none of which
+   moves on a quiet cycle; an allowed forward (which ProtDelay counts)
+   always flips a source ready, so it is never quiet; and
+   [may_execute_transmitter] and [may_resolve] are pure in both verdicts
+   (an allowed transmitter can still wait quietly on the MDP or a store
+   forward).
 
    [skip_target] is the next-event horizon: the earliest future cycle at
    which the machine can make progress again.  Two event sources exist
@@ -180,9 +186,14 @@ let skip_target ?(watchdog = default_watchdog) ~until (t : t) =
   min target until
 
 (* Advance a quiet machine to [target] in one jump: bulk-apply the
-   per-cycle decrements the spun cycles would have performed, move the
-   clock, and account the span ([Stats.skipped_cycles] via the stats
-   subscriber, the profiler's "skipped" pseudo-stage via [On_skip]). *)
+   per-cycle decrements and policy-denial stall counts the spun cycles
+   would have performed, move the clock, and account the span
+   ([Stats.skipped_cycles] via the stats subscriber, the profiler's
+   "skipped" pseudo-stage via [On_skip]).  The stall counts are exact:
+   nothing issued on the quiet cycle, so its scan reached every
+   memoised slot and re-stamped it at the current frontier, and each
+   spun cycle would replay exactly those memos — [k] times the running
+   totals. *)
 let apply_skip (t : t) ~target =
   let open Pipeline_state in
   let k = target - t.cycle in
@@ -193,8 +204,13 @@ let apply_skip (t : t) ~target =
       let e = a.(i) in
       e.Rob_entry.cycles_left <- e.Rob_entry.cycles_left - k
     done;
+    let st = t.stats in
+    st.Stats.wakeup_delay_cycles <-
+      st.Stats.wakeup_delay_cycles + (k * t.memo_wakeup_total);
+    st.Stats.transmitter_stall_cycles <-
+      st.Stats.transmitter_stall_cycles + (k * t.memo_exec_total);
     t.cycle <- target;
-    t.stats.Stats.cycles <- target;
+    st.Stats.cycles <- target;
     if Pipeline_state.wants t Hooks.k_skip then
       Pipeline_state.emit t (Hooks.On_skip { cycles = k })
   end

@@ -71,6 +71,18 @@ type t = {
   mutable scan_visits : int;
       (* issue-scan visits so far: entries the scan looked at, summed
          over cycles (a deterministic work counter for the bench) *)
+  (* Policy-denial memos, one per ring slot, beside the ready set (see
+     [memo_set]).  [memo.(i)] is 0 (no memo), [w > 0] (a wakeup denial
+     of [w] sources) or [memo_exec] (an execution denial); the stamps
+     record the speculation frontier the denial saw. *)
+  memo : int array;
+  memo_head : int array; (* [head_seq] stamp *)
+  memo_branch : int array; (* [frontier_branch] stamp *)
+  mutable memo_wakeup_total : int; (* sum of the wakeup weights *)
+  mutable memo_exec_total : int; (* number of execution-denial memos *)
+  mutable gate_denials : int;
+      (* gate queries that denied, summed over cycles; memo replays are
+         not counted (a deterministic work counter for the bench) *)
   mutable bq_head : Rob_entry.t; (* unresolved branches, seq-ascending DLL *)
   mutable bq_tail : Rob_entry.t;
   inflight : Entryq.t; (* issued && not executed, issue order *)
@@ -225,6 +237,12 @@ let create ?(trace = false) ?(squash_bug = false)
     sq_used = 0;
     ready = Array.make ((cfg.Config.rob_size + 31) lsr 5) 0;
     scan_visits = 0;
+    memo = Array.make cfg.Config.rob_size 0;
+    memo_head = Array.make cfg.Config.rob_size 0;
+    memo_branch = Array.make cfg.Config.rob_size 0;
+    memo_wakeup_total = 0;
+    memo_exec_total = 0;
+    gate_denials = 0;
     bq_head = Rob_entry.null;
     bq_tail = Rob_entry.null;
     inflight = Entryq.create ~capacity:64 ();
@@ -462,6 +480,50 @@ let bq_unlink t (e : Rob_entry.t) =
 
 let oldest_unresolved_branch t =
   if Rob_entry.is_null t.bq_head then max_int else t.bq_head.Rob_entry.seq
+
+(* Policy-denial memos.  A gate denial is a pure function of the
+   entry, its producers and the speculation frontier (the contract in
+   [Policy]), so while the frontier holds and no producer of the entry
+   completes, asking the gates again must give the same denial: the
+   issue scan replays the memo instead.  The frontier is [head_seq]
+   (which also decides whether a producer is still live) plus, under
+   CONTROL, the oldest unresolved branch; ATCOMMIT gates never read the
+   latter, so its stamp is a constant there.  A frontier change needs no
+   hook — the scan compares stamps; [complete_entry] clears the memo of
+   every waiter it wakes and the squash flush those of the flushed
+   slots.  A memo lives only on a ready slot: the scan clears it before
+   asking the gates afresh, and an entry leaves the ready set (issue,
+   dormancy) only after such a fresh ask.  The running totals let
+   skip-ahead add a quiet span's stall cycles in bulk. *)
+
+let memo_exec = -1
+
+let frontier_branch t =
+  match t.spec_model with
+  | Policy.Atcommit -> 0
+  | Policy.Control -> oldest_unresolved_branch t
+
+let memo_valid t idx =
+  t.memo.(idx) <> 0
+  && t.memo_head.(idx) = t.head_seq
+  && t.memo_branch.(idx) = frontier_branch t
+
+let memo_clear t idx =
+  let w = t.memo.(idx) in
+  if w <> 0 then begin
+    if w > 0 then t.memo_wakeup_total <- t.memo_wakeup_total - w
+    else t.memo_exec_total <- t.memo_exec_total - 1;
+    t.memo.(idx) <- 0
+  end
+
+(* Record a denial of weight [w] ([memo_exec] for an execution denial)
+   on slot [idx], which carries no memo. *)
+let memo_set t idx w =
+  t.memo.(idx) <- w;
+  t.memo_head.(idx) <- t.head_seq;
+  t.memo_branch.(idx) <- frontier_branch t;
+  if w > 0 then t.memo_wakeup_total <- t.memo_wakeup_total + w
+  else t.memo_exec_total <- t.memo_exec_total + 1
 
 let l1d_protected t addr size =
   match t.cfg.Config.prot_mem with

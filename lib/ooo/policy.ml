@@ -12,7 +12,24 @@
 
    The speculation model (Section II-B2) determines when an instruction
    stops being speculative: ATCOMMIT (at the ROB head — covers all
-   speculation) or CONTROL (when all older branches have resolved). *)
+   speculation) or CONTROL (when all older branches have resolved).
+
+   The denial contract.  A denial by [may_forward] or
+   [may_execute_transmitter] must have no side effects, and must be a
+   function of the entry, its producers and the speculation frontier
+   only: [head_seq] under ATCOMMIT, [oldest_unresolved_branch] under
+   CONTROL (plus, under either, which producers are still live).  No
+   clock, no call counts, no private state.  The issue scan relies on
+   it: it memoises a denial and replays it, without asking again, for as
+   long as the frontier holds and no producer of the entry completes,
+   and skip-ahead adds the replayed stall cycles of a quiet span in bulk
+   ([Pipeline_state.memo_set]).  An allowed forward is never replayed
+   and always wakes a source, so [may_forward] may count its allows;
+   [may_execute_transmitter] must be pure in both verdicts (an allowed
+   transmitter can still wait on a quiet, skippable cycle).  A counter
+   of denials is derived from [Stats] instead (see [metrics]).
+   `--paranoid-sched` asks the gates again on every replay and faults
+   when the answer differs. *)
 
 type spec_model = Atcommit | Control
 
@@ -77,16 +94,17 @@ type t = {
   may_resolve : api -> Rob_entry.t -> bool;
   on_load_executed : api -> Rob_entry.t -> unit;
   on_commit : api -> Rob_entry.t -> unit;
-  metrics : unit -> (string * int) list;
+  metrics : Stats.t -> (string * int) list;
       (* named policy-local counters for the telemetry layer, read once
-         after a run; [] when the policy keeps no private state.  Names
-         become Prometheus families (protean_defense_<name>_total), so
-         use lowercase snake_case nouns. *)
+         after a run from the policy's state and the run's [Stats]; []
+         when the policy keeps no private state.  Names become
+         Prometheus families (protean_defense_<name>_total), so use
+         lowercase snake_case nouns. *)
 }
 
 let nop_hook _ _ = ()
 let always _ _ = true
-let no_metrics () = []
+let no_metrics _ = []
 
 (* The unmodified out-of-order core: no protection at all. *)
 let unsafe =

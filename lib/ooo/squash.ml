@@ -8,7 +8,9 @@
    once the pipeline is consistent again.
 
    The flush also rebuilds every scheduler index exactly:
-   - ready set: the flushed slots' bits are cleared,
+   - ready set: the flushed slots' bits and policy-denial memos are
+     cleared (squashed sequence numbers are reused, so a memo left on a
+     slot would replay against the next entry renamed into it),
    - branch list: truncated from the tail (seq-ascending),
    - in-flight deque and live store/load queues: filtered/truncated,
    - wakeup chains: flushed consumers are removed from surviving
@@ -63,6 +65,7 @@ let flush (t : S.t) ~from_seq ~new_pc =
       e.Rob_entry.waiters <- Rob_entry.null
     end;
     S.ready_remove t idx;
+    S.memo_clear t idx;
     t.S.rob.(idx) <- Rob_entry.null
   done;
   t.S.count <- min t.S.count keep;

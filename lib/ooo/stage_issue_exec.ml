@@ -21,10 +21,15 @@
    bit-for-bit by the golden corpus, and cross-checked against
    brute-force ring scans under [Pipeline_state.paranoid_sched].
 
+   Policy denials of wakeup and execution are memoised per ROB slot and
+   replayed without asking the gates while the speculation frontier
+   holds (see [replay] and [Pipeline_state.memo_set]); the scan counts
+   their stall cycles into [Stats] directly.
+
    Events: [On_wakeup]/[On_wakeup_blocked] per source, [On_exec_blocked]
-   and [On_resolve_blocked] per denied cycle, [On_forward] on LSQ hits,
-   [On_load_executed], [On_div_busy], [On_order_violation],
-   [On_mispredict]. *)
+   and [On_resolve_blocked] per denied cycle (memo replays included),
+   [On_forward] on LSQ hits, [On_load_executed], [On_div_busy],
+   [On_order_violation], [On_mispredict]. *)
 
 open Protean_isa
 open Protean_arch
@@ -46,7 +51,13 @@ let copy_producer_value (p : Rob_entry.t) r (e : Rob_entry.t) i =
 (* Try to make all of [e]'s sources ready; returns true when they are.
    Values from in-flight producers are only visible once the producer has
    executed *and* the policy allows it to forward (the AccessDelay /
-   ProtDelay wakeup-gating point).
+   ProtDelay wakeup-gating point).  [e] sits in ring slot [idx].
+
+   A denied forward counts one [wakeup_delay_cycles] per denied source
+   and is memoised on the slot with that weight (see
+   [Pipeline_state.memo_set]); it marks progress only when a subscriber
+   wants its [On_wakeup_blocked] events — the count itself is what a
+   skipped span adds in bulk.
 
    Side effect on the scheduler: when nothing blocked on policy and some
    producer simply has not executed yet, every remaining non-ready
@@ -57,12 +68,12 @@ let copy_producer_value (p : Rob_entry.t) r (e : Rob_entry.t) i =
    producer's wakeup chain (registered at rename, membership cleared
    only by the producer executing), so the *first* producer to execute
    wakes the entry.  No chain registration happens here. *)
-let sources_ready (t : S.t) (e : Rob_entry.t) =
+let sources_ready (t : S.t) idx (e : Rob_entry.t) =
   let ap = S.api t in
   let ready = e.Rob_entry.src_ready in
   let n = Array.length ready in
   let all = ref true in
-  let policy_blocked = ref false in
+  let denied = ref 0 in
   for i = 0 to n - 1 do
     if not ready.(i) then begin
       let r, _ = e.Rob_entry.srcs.(i) in
@@ -83,18 +94,25 @@ let sources_ready (t : S.t) (e : Rob_entry.t) =
             S.emit t (Hooks.On_wakeup { consumer = e; producer = prod })
         end
         else begin
-          t.S.progress <- true;
-          if S.wants t Hooks.k_wakeup_blocked then
-            S.emit t (Hooks.On_wakeup_blocked { consumer = e; producer = prod });
-          all := false;
-          policy_blocked := true
+          incr denied;
+          if S.wants t Hooks.k_wakeup_blocked then begin
+            t.S.progress <- true;
+            S.emit t (Hooks.On_wakeup_blocked { consumer = e; producer = prod })
+          end;
+          all := false
         end
       else all := false
     end
   done;
-  if (not !all) && not !policy_blocked then begin
+  if !denied > 0 then begin
+    let st = t.S.stats in
+    st.Stats.wakeup_delay_cycles <- st.Stats.wakeup_delay_cycles + !denied;
+    t.S.gate_denials <- t.S.gate_denials + !denied;
+    S.memo_set t idx !denied
+  end
+  else if not !all then begin
     e.Rob_entry.dormant <- true;
-    S.ready_remove t (S.idx_of_seq t e.Rob_entry.seq);
+    S.ready_remove t idx;
     t.S.progress <- true
   end;
   !all
@@ -378,7 +396,10 @@ let execution_gated (e : Rob_entry.t) =
 
 (* Complete [e]: mark it executed and wake the consumers parked on its
    wakeup chain (clear their chain memberships and put them back in the
-   ready set, so the issue scan visits them from this cycle on). *)
+   ready set, so the issue scan visits them from this cycle on).  A
+   waiter may be active with a memoised wakeup denial on another source;
+   the memo is cleared, since the newly executed producer's forward has
+   not been asked yet. *)
 let complete_entry (t : S.t) (e : Rob_entry.t) =
   e.Rob_entry.executed <- true;
   e.Rob_entry.t_complete <- t.S.cycle;
@@ -393,7 +414,9 @@ let complete_entry (t : S.t) (e : Rob_entry.t) =
     cur.Rob_entry.wl_next.(slot) <- Rob_entry.null;
     cur.Rob_entry.wl_slot.(slot) <- -1;
     cur.Rob_entry.dormant <- false;
-    S.ready_add t (S.idx_of_seq t cur.Rob_entry.seq)
+    let idx = S.idx_of_seq t cur.Rob_entry.seq in
+    S.memo_clear t idx;
+    S.ready_add t idx
   done
 
 (* Tick the in-flight set: decrement, mark executed at zero, wake the
@@ -509,15 +532,23 @@ let find_port (t : S.t) (pc : Config.port_cfg) cls =
   done;
   if !i < n then !i else -1
 
-(* Consider ready entry [e]: the wakeup check, then the policy, MDP and
-   port gates, then [start_execution].  Returns true when [e] issued. *)
-let consider (t : S.t) ap pcfg (e : Rob_entry.t) =
-  if not (sources_ready t e) then false
+(* Consider ready entry [e] in slot [idx]: the wakeup check, then the
+   policy, MDP and port gates, then [start_execution].  Returns true when
+   [e] issued.  An execution denial is counted and memoised like a
+   wakeup denial (weight 1; see [sources_ready]). *)
+let consider (t : S.t) ap pcfg idx (e : Rob_entry.t) =
+  if not (sources_ready t idx e) then false
   else if
     execution_gated e && not (t.S.policy.Policy.may_execute_transmitter ap e)
   then begin
-    t.S.progress <- true;
-    if S.wants t Hooks.k_exec_blocked then S.emit t (Hooks.On_exec_blocked e);
+    let st = t.S.stats in
+    st.Stats.transmitter_stall_cycles <- st.Stats.transmitter_stall_cycles + 1;
+    t.S.gate_denials <- t.S.gate_denials + 1;
+    S.memo_set t idx S.memo_exec;
+    if S.wants t Hooks.k_exec_blocked then begin
+      t.S.progress <- true;
+      S.emit t (Hooks.On_exec_blocked e)
+    end;
     false
   end
   else if
@@ -562,12 +593,84 @@ let consider (t : S.t) ap pcfg (e : Rob_entry.t) =
     else false
   end
 
+(* What a fresh ask of the gates gives for memoised [e] now: the
+   number of denied forwards for a wakeup memo (0 when a source could
+   wake instead), [memo_exec] when the execution gate still denies.
+   Only the paranoid replay cross-check calls it. *)
+let recheck_memo (t : S.t) ap (e : Rob_entry.t) w =
+  let ready = e.Rob_entry.src_ready in
+  if w > 0 then begin
+    let denied = ref 0 and wakes = ref false in
+    for i = 0 to Array.length ready - 1 do
+      if not ready.(i) then begin
+        let prod = S.peek t e.Rob_entry.src_producer.(i) in
+        if Rob_entry.is_null prod then wakes := true
+        else if prod.Rob_entry.executed then
+          if t.S.policy.Policy.may_forward ap prod then wakes := true
+          else incr denied
+      end
+    done;
+    if !wakes then 0 else !denied
+  end
+  else if
+    Array.for_all Fun.id ready
+    && execution_gated e
+    && not (t.S.policy.Policy.may_execute_transmitter ap e)
+  then S.memo_exec
+  else 0
+
+(* Replay the memoised denial of [e] in slot [idx]: count it and emit
+   its events (one [On_wakeup_blocked] per denied source, found as the
+   non-ready sources whose live producer has executed, or one
+   [On_exec_blocked]), marking progress only when those events are
+   wanted.  Under [--paranoid-sched] the gates are asked again and must
+   deny with the same weight. *)
+let replay (t : S.t) ap idx (e : Rob_entry.t) =
+  let w = t.S.memo.(idx) in
+  if t.S.paranoid then begin
+    let fresh = recheck_memo t ap e w in
+    if fresh <> w then
+      raise
+        (S.Sim_fault
+           (S.fault t
+              (S.Invariant_violation
+                 (Printf.sprintf
+                    "memo-replay: seq %d memoised weight %d, the gates now \
+                     give %d at the same frontier"
+                    e.Rob_entry.seq w fresh))))
+  end;
+  let st = t.S.stats in
+  if w > 0 then begin
+    st.Stats.wakeup_delay_cycles <- st.Stats.wakeup_delay_cycles + w;
+    if S.wants t Hooks.k_wakeup_blocked then begin
+      t.S.progress <- true;
+      let ready = e.Rob_entry.src_ready in
+      for i = 0 to Array.length ready - 1 do
+        if not ready.(i) then begin
+          let prod = S.peek t e.Rob_entry.src_producer.(i) in
+          if (not (Rob_entry.is_null prod)) && prod.Rob_entry.executed then
+            S.emit t (Hooks.On_wakeup_blocked { consumer = e; producer = prod })
+        end
+      done
+    end
+  end
+  else begin
+    st.Stats.transmitter_stall_cycles <- st.Stats.transmitter_stall_cycles + 1;
+    if S.wants t Hooks.k_exec_blocked then begin
+      t.S.progress <- true;
+      S.emit t (Hooks.On_exec_blocked e)
+    end
+  end
+
 (* The issue scan: the ready set in seq order — ring slots from
    [head_idx] to the end of the ring, then from slot 0 up to [head_idx]
    — until [issue_width] entries have issued.  Dormant entries are not
-   in the set, so they are never visited.  A store issuing may squash
-   from a younger load's seq; the flush clears the flushed slots' bits,
-   so the scan goes on over the older survivors only. *)
+   in the set, so they are never visited.  A slot with a valid memo is
+   replayed; any other is considered afresh (dropping a stale memo
+   first).  Replays stay in the ready set and in seq order, so the stop
+   at [issue_width] is unchanged.  A store issuing may squash from a
+   younger load's seq; the flush clears the flushed slots' bits and
+   memos, so the scan goes on over the older survivors only. *)
 let run (t : S.t) =
   tick t;
   let ap = S.api t in
@@ -584,9 +687,14 @@ let run (t : S.t) =
     let i = S.ready_next t !pos !limit in
     if i >= 0 then begin
       t.S.scan_visits <- t.S.scan_visits + 1;
-      if consider t ap pcfg t.S.rob.(i) then begin
-        S.ready_remove t i;
-        incr issued
+      let e = t.S.rob.(i) in
+      if S.memo_valid t i then replay t ap i e
+      else begin
+        S.memo_clear t i;
+        if consider t ap pcfg i e then begin
+          S.ready_remove t i;
+          incr issued
+        end
       end;
       pos := i + 1
     end

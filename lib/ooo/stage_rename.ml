@@ -23,7 +23,7 @@ module S = Pipeline_state
    flushes [e]).  When *every* non-ready source is such a slot, [e] also
    goes dormant — the issue scan skips it until a producer executes.  An
    already-executed producer keeps the entry active: its forward may be
-   policy-gated, which must emit [On_wakeup_blocked] every cycle the
+   policy-gated, which must count a wakeup-delay cycle every cycle the
    entry is considered. *)
 let register_waiters (t : S.t) (e : Rob_entry.t) =
   let n = Array.length e.Rob_entry.src_ready in

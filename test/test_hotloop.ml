@@ -31,6 +31,10 @@ module S = Protean_ooo.Pipeline_state
 module Rob_entry = Protean_ooo.Rob_entry
 module Insn = Protean_isa.Insn
 module Reg = Protean_isa.Reg
+module Asm = Protean_isa.Asm
+module Program = Protean_isa.Program
+module Policy = Protean_ooo.Policy
+module Stats = Protean_ooo.Stats
 
 (* --- Hook bus re-registration semantics ------------------------------ *)
 
@@ -337,6 +341,137 @@ let test_window_ledger_transparent () =
     (n "windows_resolved" + n "windows_mispredicted" + n "windows_flushed"
    + n "windows_unclosed")
 
+(* --- Policy-denial memos ----------------------------------------------- *)
+
+(* [forward_blocks] is derived from [Stats.wakeup_delay_cycles]; check
+   both against an independent count — a subscriber counting every
+   [On_wakeup_blocked] event, whose presence makes each denial cycle
+   spin and each replay emit per denied source — and check the bulk
+   counts of a run without the subscriber (where denial-only spans are
+   skipped) against it. *)
+let test_forward_blocks_derived () =
+  let program =
+    (Protcc.instrument ~pass_override:Protcc.P_arch (window_workload ()))
+      .Protcc.program
+  in
+  List.iter
+    (fun id ->
+      let d = Defense.find id in
+      let watched_policy = d.Defense.make () in
+      let t =
+        Pipeline.create Config.test_core watched_policy program ~overlays:[]
+      in
+      let events = ref 0 in
+      Pipeline.subscribe t ~name:"count" ~kinds:[ Hooks.k_wakeup_blocked ]
+        (fun _ _ -> incr events);
+      window_drive t;
+      let plain_policy = d.Defense.make () in
+      let plain =
+        Pipeline.create Config.test_core plain_policy program ~overlays:[]
+      in
+      window_drive plain;
+      let blocks (p : Policy.t) st =
+        List.assoc "forward_blocks" (p.Policy.metrics st)
+      in
+      Alcotest.(check bool) (id ^ ": denials happen") true (!events > 0);
+      Alcotest.(check int) (id ^ ": stats == events") !events
+        t.S.stats.Stats.wakeup_delay_cycles;
+      Alcotest.(check int) (id ^ ": forward_blocks == wakeup_delay_cycles")
+        t.S.stats.Stats.wakeup_delay_cycles
+        (blocks watched_policy t.S.stats);
+      Alcotest.(check int) (id ^ ": bulk counts == spun counts") !events
+        (blocks plain_policy plain.S.stats);
+      Alcotest.(check int) (id ^ ": cycles") t.S.cycle plain.S.cycle)
+    [ "nda"; "prot-delay" ]
+
+(* A head-of-ROB chain of divisions keeps every younger instruction
+   speculative; behind it a load's tainted address makes STT deny the
+   dependent load every cycle.  Between two division completions the
+   only activity is that denial, so those cycles are skipped — with
+   exactly the stats of the spinning machine. *)
+let denial_stall_program () =
+  let c = Asm.create () in
+  Asm.data c ~addr:0x2000L (String.make 64 '\000');
+  Asm.func c ~klass:Program.Arch "main";
+  Asm.mov c Reg.rax (Asm.i (1 lsl 40));
+  Asm.mov c Reg.rbx (Asm.i 1);
+  Asm.mov c Reg.rsi (Asm.i 0x2000);
+  for _ = 1 to 24 do
+    Asm.div c Reg.rax Reg.rax (Asm.r Reg.rbx)
+  done;
+  Asm.load c Reg.rdx (Asm.mb Reg.rsi);
+  Asm.load c Reg.rcx (Asm.mbd Reg.rdx 0x2000);
+  Asm.halt c;
+  Asm.finish c
+
+let test_denial_stall_skipped () =
+  let program = denial_stall_program () in
+  let run ~skip =
+    let saved = Pipeline.skip_ahead_enabled () in
+    Pipeline.set_skip_ahead skip;
+    Fun.protect
+      ~finally:(fun () -> Pipeline.set_skip_ahead saved)
+      (fun () ->
+        let t =
+          Pipeline.create Config.test_core
+            ((Defense.find "stt").Defense.make ())
+            program ~overlays:[]
+        in
+        window_drive t;
+        t)
+  in
+  let skipped = run ~skip:true and spun = run ~skip:false in
+  let st = skipped.S.stats in
+  Alcotest.(check bool) "finished" true (Pipeline.is_done skipped);
+  Alcotest.(check bool) "the load was denied" true
+    (st.Stats.transmitter_stall_cycles > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "denial-only cycles skipped (%d)" st.Stats.skipped_cycles)
+    true
+    (st.Stats.skipped_cycles > 0);
+  Alcotest.(check int) "spinning machine skips nothing" 0
+    spun.S.stats.Stats.skipped_cycles;
+  Alcotest.(check bool) "stats identical to the spinning machine" true
+    ({ st with Stats.skipped_cycles = 0 } = spun.S.stats)
+
+(* A gate that breaks the denial contract — it denies its first three
+   calls and allows every later one, whatever the frontier — is caught
+   by the paranoid replay cross-check: a memoised denial, asked again at
+   the same frontier, now allows.  (Unchecked, the memo would replay the
+   head division's first denial forever.) *)
+let test_impure_gate_caught () =
+  let impure () =
+    let calls = ref 0 in
+    let base = (Defense.find "stt").Defense.make () in
+    {
+      base with
+      Policy.may_execute_transmitter =
+        (fun _ _ ->
+          incr calls;
+          !calls > 3);
+    }
+  in
+  let program = denial_stall_program () in
+  let run () =
+    let t = Pipeline.create Config.test_core (impure ()) program ~overlays:[] in
+    window_drive t;
+    t
+  in
+  Pipeline.set_paranoid_sched true;
+  Fun.protect
+    ~finally:(fun () -> Pipeline.set_paranoid_sched false)
+    (fun () ->
+      match run () with
+      | _ -> Alcotest.fail "impure gate not caught"
+      | exception Pipeline.Sim_fault f -> (
+          match f.Pipeline.fault_kind with
+          | Pipeline.Invariant_violation d ->
+              Alcotest.(check bool)
+                ("replay cross-check fired: " ^ d)
+                true
+                (String.length d >= 11 && String.sub d 0 11 = "memo-replay")
+          | k -> Alcotest.fail ("wrong fault: " ^ Pipeline.fault_kind_name k)))
+
 let tests =
   [
     Alcotest.test_case "hooks: unsubscribe during emit" `Quick
@@ -353,6 +488,12 @@ let tests =
       `Quick test_window_guard_alloc_free;
     Alcotest.test_case "window ledger: attach is observationally transparent"
       `Quick test_window_ledger_transparent;
+    Alcotest.test_case "memo: forward_blocks == wakeup_delay_cycles" `Quick
+      test_forward_blocks_derived;
+    Alcotest.test_case "memo: a denial-only stall is skipped" `Quick
+      test_denial_stall_skipped;
+    Alcotest.test_case "memo: paranoid replay catches an impure gate" `Quick
+      test_impure_gate_caught;
     Alcotest.test_case "paranoid scheduler cross-check (golden corpus)" `Slow
       test_paranoid_golden;
     Alcotest.test_case "paranoid structural-port cross-check (width corpus)"
