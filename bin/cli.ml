@@ -3,7 +3,8 @@
    start-up effects, and the supervisor wiring behind --shards and
    --listen.  Flags whose meaning differs between the binaries
    (--core-width, --check-certs, the fault injectors, the shard
-   deadlines, --checkpoint-dir) stay with their binary. *)
+   deadlines) stay with their binary; --checkpoint-dir is defined here
+   once but declared only by the binaries that checkpoint. *)
 
 open Cmdliner
 module E = Protean_harness.Experiment
@@ -121,6 +122,14 @@ let no_shared_frontend_arg =
                reusing one frontend per (benchmark, pass) group. Results \
                are bit-identical either way; this is the escape hatch \
                (also PROTEAN_NO_SHARED_FRONTEND=1).")
+
+let checkpoint_dir_arg =
+  Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
+         ~doc:"Persist completed cells there (atomic per-shard JSON files); a \
+               restarted run resumes them instead of recomputing them. \
+               protean-tables checkpoints supervised (--shards, --listen) \
+               runs; protean-fuzz checkpoints every campaign, at any -j or \
+               --shards width, and only resumes cells of the same campaign.")
 
 let start jobs shards worker listen connect token metrics_listen metrics_out
     trace_out flamegraph_out attr_out log_json no_skip_ahead

@@ -3,7 +3,7 @@
 
      protean-fuzz --defense prot-track --contract ct --programs 50
      protean-fuzz --inject-faults      # self-test: must catch planted bugs
-     protean-fuzz --resume state.json  # checkpointed, crash-resilient run
+     protean-fuzz --checkpoint-dir ck  # resumable at any -j/--shards width
      protean-fuzz --table-ii           # the scaled-down Table II grid
 
    Exit status: 0 = clean; 1 = real contract violations found, or an
@@ -16,19 +16,15 @@ module Gen = Protean_amulet.Gen
 module Config = Protean_ooo.Config
 module Defense = Protean_defense.Defense
 module Fault_inject = Protean_defense.Fault_inject
-module Protcc = Protean_protcc.Protcc
 module Certify = Protean_protcc.Certify
 module Tables = Protean_harness.Tables
 module Parallel = Protean_harness.Parallel
 module Supervisor = Protean_harness.Supervisor
-module Shard = Protean_harness.Shard
-module Json = Shard.Json
 module Report = Protean_harness.Report
 module Metrics = Protean_telemetry.Metrics
 module Twindow = Protean_telemetry.Window
 module Trace = Protean_telemetry.Trace
 module Flame = Protean_telemetry.Flame
-module Tlog = Protean_telemetry.Log
 
 let defense_arg =
   Arg.(value & opt string "prot-track" & info [ "defense"; "d" ] ~docv:"ID"
@@ -80,13 +76,6 @@ let timeout_arg =
   Arg.(value & opt (some int) None & info [ "timeout-cycles" ] ~docv:"CYCLES"
          ~doc:"Per-simulation cycle budget; a run exceeding it is skipped \
                (with a report) instead of hanging the campaign.")
-
-let resume_arg =
-  Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE"
-         ~doc:"Checkpoint file: progress is saved there after every program \
-               and a matching interrupted campaign resumes from it. \
-               Checkpointing is sequential, so a resumed campaign ignores \
-               -j and --shards (with a warning).")
 
 let inject_worker_arg =
   Arg.(value & opt (some string) None
@@ -256,9 +245,6 @@ let with_span name f =
       r
 
 let report_skips (r : Fuzz.report) =
-  (match r.Fuzz.r_resumed_from with
-  | Some i -> Printf.printf "resumed from checkpoint at program %d\n" i
-  | None -> ());
   List.iter
     (fun (s : Fuzz.skip) ->
       Printf.printf "skipped program %d (seed %d) after retry: %s\n"
@@ -308,191 +294,31 @@ let run_self_test ~jobs ~programs ~inputs ~seed ~timeout =
     false
   end
 
-(* --- sharded campaigns ------------------------------------------------ *)
-
-(* One program of the campaign as a supervised cell: the worker applies
-   the same retry-once-then-skip barrier as [Fuzz.run_resilient] and
-   returns the sub-outcome as a frame payload.  Witnesses (programs)
-   don't cross the pipe — the supervisor replays the first violating
-   index in-process when it shrinks. *)
-let fuzz_cell ?(cert_poison = false) campaign d index =
-  let sub_json (o : Fuzz.outcome) skip =
-    Json.Obj
-      ([
-         ("tests", Json.Int o.Fuzz.tests);
-         ("skipped", Json.Int o.Fuzz.skipped);
-         ("violations", Json.Int o.Fuzz.violations);
-         ("false_positives", Json.Int o.Fuzz.false_positives);
-         ( "example",
-           match o.Fuzz.example with
-           | Some (s, k) -> Json.List [ Json.Int s; Json.Int k ]
-           | None -> Json.Null );
-         ( "skip",
-           match skip with Some r -> Json.Str r | None -> Json.Null );
-       ]
-      @
-      (* Certificate counters only when the campaign audits them: frames
-         of a plain campaign stay byte-identical to the uncertified
-         protocol. *)
-      if campaign.Fuzz.check_certs then
-        [
-          ("certs_checked", Json.Int o.Fuzz.certs_checked);
-          ("cert_claims", Json.Int o.Fuzz.cert_claims);
-          ("cert_violations", Json.Int o.Fuzz.cert_violations);
-          ( "cert_example",
-            match o.Fuzz.cert_example with
-            | Some s -> Json.Str s
-            | None -> Json.Null );
-        ]
-      else [])
-  in
-  let program = Fuzz.generate_program campaign index in
-  let cert_witness = ref None in
-  let attempt () = Fuzz.test_program ~cert_witness campaign d ~index ~program in
-  let finish sub =
-    (* In a shard worker a refuted certificate is escalated to the
-       structured fault: the supervisor retries, bisects and poisons
-       only this cell, and the ledger records the printed violation. *)
-    match (cert_poison, !cert_witness) with
-    | true, Some v -> raise (Certify.Cert_violation v)
-    | _ -> sub_json sub None
-  in
-  match attempt () with
-  | sub -> finish sub
-  | exception (Certify.Cert_violation _ as e) -> raise e
-  | exception _ -> (
-      match attempt () with
-      | sub -> finish sub
-      | exception e -> sub_json (Fuzz.fresh_outcome ()) (Some (Fuzz.describe_exn e)))
-
-let outcome_of_json j =
-  let int_member key = match Json.member key j with
-    | Json.Int n -> n
-    | _ -> 0
-  in
-  {
-    Fuzz.tests = Json.(to_int (member "tests" j));
-    skipped = Json.(to_int (member "skipped" j));
-    violations = Json.(to_int (member "violations" j));
-    false_positives = Json.(to_int (member "false_positives" j));
-    example =
-      (match Json.member "example" j with
-      | Json.List [ Json.Int s; Json.Int k ] -> Some (s, k)
-      | _ -> None);
-    certs_checked = int_member "certs_checked";
-    cert_claims = int_member "cert_claims";
-    cert_violations = int_member "cert_violations";
-    cert_example =
-      (match Json.member "cert_example" j with
-      | Json.Str s -> Some s
-      | _ -> None);
-  }
-
-(* Merge supervised per-program outcomes, in index order, into the same
-   report shape as the in-process resilient campaign.  A program whose
-   worker died on every attempt (a poisoned cell) becomes a structured
-   skip — exactly how the in-process barrier reports a program that
-   faults twice. *)
-let run_campaign_supervised (cli : Cli.t) ~inject ?http ?(shrink = true)
-    campaign d =
-  let cells =
-    List.init campaign.Fuzz.programs (fun i ->
-        { Shard.c_id = i; c_key = string_of_int i })
-  in
+(* Every campaign runs as supervisor cells: in process (serially or at
+   -j N) unless --shards or --listen hand them to workers.  Resume logs
+   go to stderr, so a resumed campaign prints what an uninterrupted one
+   does. *)
+let run_campaign (cli : Cli.t) ~inject_worker ?http ~checkpoint_dir campaign d
+    contract =
+  let supervised = Cli.supervised cli in
   let config =
     {
       Supervisor.default_config with
-      Supervisor.shards = cli.Cli.shards;
-      inject = Option.map Fault_inject.worker_mode_of_string inject;
+      Supervisor.shards = (if supervised then cli.Cli.shards else cli.Cli.jobs);
+      checkpoint_dir;
+      inject = Option.map Fault_inject.worker_mode_of_string inject_worker;
     }
   in
-  let fallback remaining =
-    let remaining = Array.of_list remaining in
-    let rs =
-      Parallel.map ~jobs:cli.Cli.jobs
-        (Array.map
-           (fun (c : Shard.cell) () -> fuzz_cell campaign d c.Shard.c_id)
-           remaining)
-    in
-    Array.to_list
-      (Array.mapi (fun i (c : Shard.cell) -> (c.Shard.c_id, rs.(i))) remaining)
+  let w =
+    Cli.wiring cli ?http ~drop:[ "--inject-worker-fault"; "--checkpoint-dir" ] ()
   in
-  let outcomes =
-    Cli.dispatch
-      (Cli.wiring cli ?http ~drop:[ "--inject-worker-fault" ] ())
-      config ~fallback cells
-  in
-  let out = Fuzz.fresh_outcome () in
-  let skips = ref [] in
-  List.iter
-    (fun (id, o) ->
-      let skip reason =
-        skips :=
-          {
-            Fuzz.sk_index = id;
-            sk_seed = Fuzz.program_seed campaign id;
-            sk_reason = reason;
-          }
-          :: !skips
-      in
-      match o with
-      | Supervisor.O_ok j -> (
-          Fuzz.merge_outcome ~into:out (outcome_of_json j);
-          match Json.member "skip" j with
-          | Json.Str reason -> skip reason
-          | _ -> ())
-      | Supervisor.O_fault { f_attempts; f_reason; _ } ->
-          skip
-            (Printf.sprintf "worker crashed on every attempt (%d): %s"
-               f_attempts f_reason))
-    outcomes;
-  (* Recover the first violating program from its seed and replay it
-     with witness capture in-process (witnesses never cross the pipe);
-     the witness feeds both the shrinker and the attribution replay. *)
-  let witness =
-    match out.Fuzz.example with
-    | Some (pseed, _) ->
-        let index = (pseed - campaign.Fuzz.seed) / 7919 in
-        let w = ref None in
-        let program = Fuzz.generate_program campaign index in
-        (try ignore (Fuzz.test_program ~witness:w campaign d ~index ~program)
-         with _ -> ());
-        !w
-    | None -> None
-  in
-  let counterexample =
-    if shrink then Option.map (Fuzz.shrink_witness campaign d) witness
-    else None
-  in
-  let attribution =
-    Option.bind witness (Fuzz.attribute_witness campaign d)
-  in
-  {
-    Fuzz.r_outcome = out;
-    r_completed = campaign.Fuzz.programs - List.length !skips;
-    r_skipped = List.rev !skips;
-    r_resumed_from = None;
-    r_counterexample = counterexample;
-    r_attribution = attribution;
-  }
-
-let run_campaign (cli : Cli.t) ~inject_worker ?http campaign d contract
-    resume =
-  let jobs = cli.Cli.jobs and shards = cli.Cli.shards in
   let r =
     with_span
       (Printf.sprintf "%s|%s" d.Defense.id contract)
       (fun () ->
-        match resume with
-        | None when Cli.supervised cli ->
-            run_campaign_supervised cli ~inject:inject_worker ?http campaign d
-        | None when jobs > 1 -> Parallel.fuzz_run_resilient ~jobs campaign d
-        | _ ->
-            if jobs > 1 || shards > 1 then
-              Tlog.warn ~src:"fuzz"
-                "--resume checkpoints sequentially; ignoring -j %d --shards %d"
-                jobs shards;
-            Fuzz.run_resilient ?checkpoint:resume campaign d)
+        Supervisor.Campaign.run ~bus:w.Cli.bus
+          ?dispatch:(if supervised then Some (Cli.dispatch w) else None)
+          ~jobs:cli.Cli.jobs config campaign d)
   in
   record_campaign ~defense_id:d.Defense.id ~contract
     ~adversary:(Fuzz.adversary_name campaign.Fuzz.adversary)
@@ -566,20 +392,21 @@ let run_campaign (cli : Cli.t) ~inject_worker ?http campaign d contract
   out.Fuzz.violations > 0 || cert_failed
 
 let run (cli : Cli.t) table_ii defense contract programs inputs adversary seed
-    core_width squash_bug gadget timeout resume inject inject_worker
-    check_certs pass_fault =
+    core_width squash_bug gadget timeout inject inject_worker
+    check_certs pass_fault checkpoint_dir =
   let jobs = cli.Cli.jobs and tele = cli.Cli.tele in
   if check_certs then Certify.enabled := true;
   if Cli.is_worker cli then begin
     (* Spawned by a supervisor (--worker: frames on stdin/stdout) or
-       dialing one remotely (--connect); cell key = program index. *)
+       dialing one remotely (--connect). *)
     let d = Defense.find defense in
     let campaign =
       campaign_of ~gadget contract adversary programs inputs seed squash_bug
         timeout core_width check_certs pass_fault
     in
-    Cli.serve cli ~compute:(fun key ->
-        fuzz_cell ~cert_poison:check_certs campaign d (int_of_string key))
+    Cli.serve cli
+      ~compute:
+        (Supervisor.Campaign.compute ~cert_poison:check_certs campaign d)
   end
   else begin
     let failed =
@@ -601,7 +428,8 @@ let run (cli : Cli.t) table_ii defense contract programs inputs adversary seed
               campaign_of ~gadget contract adversary programs inputs seed
                 squash_bug timeout core_width check_certs pass_fault
             in
-            run_campaign cli ~inject_worker ?http campaign d contract resume
+            run_campaign cli ~inject_worker ?http ~checkpoint_dir campaign d
+              contract
           end)
     in
     if Report.wanted tele then write_telemetry tele;
@@ -615,7 +443,8 @@ let cmd =
     Term.(
       const run $ Cli.term $ table_ii_arg $ defense_arg $ contract_arg
       $ programs_arg $ inputs_arg $ adversary_arg $ seed_arg $ core_width_arg
-      $ squash_bug_arg $ gadget_arg $ timeout_arg $ resume_arg $ inject_arg
-      $ inject_worker_arg $ check_certs_arg $ inject_pass_fault_arg)
+      $ squash_bug_arg $ gadget_arg $ timeout_arg $ inject_arg
+      $ inject_worker_arg $ check_certs_arg $ inject_pass_fault_arg
+      $ Cli.checkpoint_dir_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -70,11 +70,6 @@ let wall_arg =
   Arg.(value & opt float 3600.0 & info [ "shard-wall" ] ~docv:"SECS"
          ~doc:"Kill a worker spawn that outlives this wall-clock budget.")
 
-let checkpoint_dir_arg =
-  Arg.(value & opt (some string) None & info [ "checkpoint-dir" ] ~docv:"DIR"
-         ~doc:"Persist per-shard results there (atomic JSON files); a \
-               restarted supervised run resumes completed cells from them.")
-
 (* Supervisor-only flags of this binary, dropped from the worker argv
    on top of the shared ones. *)
 let supervisor_flags =
@@ -198,6 +193,6 @@ let cmd =
     Term.(
       const run $ Cli.term $ what_arg $ bench_arg $ core_width_arg
       $ fuzz_programs_arg $ check_certs_arg $ inject_arg $ heartbeat_arg
-      $ wall_arg $ checkpoint_dir_arg)
+      $ wall_arg $ Cli.checkpoint_dir_arg)
 
 let () = exit (Cmd.eval cmd)

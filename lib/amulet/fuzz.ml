@@ -14,10 +14,11 @@
       divergence — AMuLeT*'s automated post-processing filter).
 
    Long campaigns additionally get a robustness layer:
-   - [run_resilient] wraps every program in an exception barrier
-     (retry once, then skip and report) with a per-program cycle budget
-     enforced by the pipeline watchdog, shrinks the first violating
-     program, and checkpoints progress to a JSON state file;
+   - [cell] wraps every program in an exception barrier (retry once,
+     then skip and report) with a per-program cycle budget enforced by
+     the pipeline watchdog, and encodes the result as a JSON cell that
+     any driver can run, ship and checkpoint; [finish] merges cells in
+     index order and shrinks and attributes the first violation;
    - [self_test] injects deliberate faults into the defense under test
      ([Fault_inject]) and reports any injected fault the campaign fails
      to flag — a detector gap. *)
@@ -539,126 +540,10 @@ let attribute_witness campaign defense (w : witness) =
                   at_window_depth = -1;
                 }))
 
-(* --- campaign checkpointing ------------------------------------------ *)
+(* --- campaign cells ---------------------------------------------------- *)
 
-module Checkpoint = struct
-  (* Campaign progress persisted after every program, so an interrupted
-     multi-hour run resumes where it stopped instead of restarting.  The
-     format is a single flat JSON object of integers. *)
-  type t = {
-    ck_seed : int;
-    ck_programs : int;
-    ck_inputs : int;
-    ck_next : int; (* next program index to run *)
-    ck_tests : int;
-    ck_skipped : int;
-    ck_violations : int;
-    ck_false_positives : int;
-    ck_faulted : int;
-    ck_example_seed : int; (* -1 = no violation example yet *)
-    ck_example_input : int;
-  }
-
-  let to_json c =
-    Printf.sprintf
-      "{\"version\":1,\"seed\":%d,\"programs\":%d,\"inputs\":%d,\"next\":%d,\"tests\":%d,\"skipped\":%d,\"violations\":%d,\"false_positives\":%d,\"faulted\":%d,\"example_seed\":%d,\"example_input\":%d}"
-      c.ck_seed c.ck_programs c.ck_inputs c.ck_next c.ck_tests c.ck_skipped
-      c.ck_violations c.ck_false_positives c.ck_faulted c.ck_example_seed
-      c.ck_example_input
-
-  (* Minimal parser for the flat integer-object format above; returns
-     [None] on any malformed input rather than raising. *)
-  let int_field s key =
-    let pat = "\"" ^ key ^ "\":" in
-    let plen = String.length pat and slen = String.length s in
-    let rec find i =
-      if i + plen > slen then None
-      else if String.sub s i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-        let stop = ref start in
-        if !stop < slen && s.[!stop] = '-' then incr stop;
-        while !stop < slen && s.[!stop] >= '0' && s.[!stop] <= '9' do
-          incr stop
-        done;
-        if !stop = start then None
-        else int_of_string_opt (String.sub s start (!stop - start))
-
-  let of_json s =
-    let ( let* ) = Option.bind in
-    let* version = int_field s "version" in
-    if version <> 1 then None
-    else
-      let* ck_seed = int_field s "seed" in
-      let* ck_programs = int_field s "programs" in
-      let* ck_inputs = int_field s "inputs" in
-      let* ck_next = int_field s "next" in
-      let* ck_tests = int_field s "tests" in
-      let* ck_skipped = int_field s "skipped" in
-      let* ck_violations = int_field s "violations" in
-      let* ck_false_positives = int_field s "false_positives" in
-      let* ck_faulted = int_field s "faulted" in
-      let* ck_example_seed = int_field s "example_seed" in
-      let* ck_example_input = int_field s "example_input" in
-      Some
-        {
-          ck_seed;
-          ck_programs;
-          ck_inputs;
-          ck_next;
-          ck_tests;
-          ck_skipped;
-          ck_violations;
-          ck_false_positives;
-          ck_faulted;
-          ck_example_seed;
-          ck_example_input;
-        }
-
-  let save path c =
-    (* Write-then-rename so an interruption mid-write never corrupts the
-       previous checkpoint. *)
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc (to_json c);
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp path
-
-  let default_warn path =
-    Protean_telemetry.Log.warn ~src:"checkpoint"
-      ~fields:[ ("path", path) ]
-      "%s exists but is truncated or malformed; ignoring it and restarting \
-       the campaign from program 0"
-      path
-
-  let load ?(warn = default_warn) path =
-    if not (Sys.file_exists path) then None
-    else begin
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      match of_json s with
-      | Some c -> Some c
-      | None ->
-          (* A truncated or corrupt checkpoint must not abort the run —
-             the campaign is re-runnable from scratch — but silently
-             restarting a multi-hour campaign deserves a diagnostic. *)
-          warn path;
-          None
-    end
-
-  let matches campaign c =
-    c.ck_seed = campaign.seed
-    && c.ck_programs = campaign.programs
-    && c.ck_inputs = campaign.inputs_per_program
-end
-
-(* --- crash-resilient campaigns --------------------------------------- *)
+module Json = Protean_telemetry.Json
+module Certify = Protean_protcc.Certify
 
 type skip = {
   sk_index : int; (* program index in the campaign *)
@@ -670,7 +555,6 @@ type report = {
   r_outcome : outcome;
   r_completed : int; (* programs fully tested (including resumed ones) *)
   r_skipped : skip list; (* programs dropped after retry, oldest first *)
-  r_resumed_from : int option; (* index a matching checkpoint resumed at *)
   r_counterexample : shrunk option; (* shrunk first violation *)
   r_attribution : Twindow.attribution option;
       (* ledger replay of the first violation *)
@@ -678,94 +562,172 @@ type report = {
 
 let describe_exn = function
   | Pipeline.Sim_fault f -> Pipeline.fault_to_string f
-  | Protean_protcc.Certify.Cert_violation v ->
-      Protean_protcc.Certify.violation_to_string v
+  | Certify.Cert_violation v -> Certify.violation_to_string v
   | e -> Printexc.to_string e
 
-(* Run a campaign with a per-program exception barrier: a program whose
-   simulation faults (watchdog, invariant failure, or any other
-   exception) is retried once and then skipped with a structured report,
-   instead of aborting the whole campaign.  [checkpoint] names a JSON
-   state file for resume; [program_of] lets harnesses splice specific
-   programs into the campaign (used by the robustness self-tests). *)
-let run_resilient ?checkpoint ?(shrink = true) ?(shrink_budget = 64)
-    ?program_of campaign (defense : Protean_defense.Defense.t) =
+(* Everything that decides what a program index computes, so a cell
+   checkpointed by one campaign can never be resumed into another.  The
+   program count is deliberately absent: program i is the same in a
+   12- and a 20-program campaign. *)
+let identity campaign (defense : Protean_defense.Defense.t) =
+  let opt f = function Some x -> f x | None -> "-" in
+  String.concat "|"
+    [
+      defense.Protean_defense.Defense.id;
+      Observer.mode_name (campaign.mode_of (Hashtbl.create 0));
+      (match campaign.instrumentation with
+      | I_none -> "bare"
+      | I_pass (Protean_protcc.Protcc.P_rand (s, p)) ->
+          Printf.sprintf "ProtCC-RAND(%d,%h)" s p
+      | I_pass p -> Protean_protcc.Protcc.pass_name p);
+      (match campaign.gen_klass with
+      | Gen.G_arch -> "gen-arch"
+      | Gen.G_ct -> "gen-ct"
+      | Gen.G_unr -> "gen-unr"
+      | Gen.G_gadget -> "gen-gadget");
+      adversary_name campaign.adversary;
+      Printf.sprintf "seed=%d" campaign.seed;
+      Printf.sprintf "inputs=%d" campaign.inputs_per_program;
+      Printf.sprintf "squash-bug=%b" campaign.squash_bug;
+      Policy.spec_model_name campaign.spec_model;
+      "timeout=" ^ opt string_of_int campaign.timeout_cycles;
+      campaign.config.Config.name;
+      Printf.sprintf "certs=%b" campaign.check_certs;
+      "pass-fault=" ^ opt Fault_inject.cert_mode_name campaign.cert_fault;
+    ]
+
+let cell_key campaign defense index =
+  Printf.sprintf "%s|%d" (identity campaign defense) index
+
+(* A cell's payload: one program's sub-outcome plus the skip reason of a
+   program that faulted twice.  Certificate counters only when the
+   campaign audits them, so frames and checkpoints of a plain campaign
+   stay byte-identical to the uncertified protocol. *)
+let cell_to_json campaign (o : outcome) skip =
+  let opt f = function Some x -> f x | None -> Json.Null in
+  Json.Obj
+    ([
+       ("tests", Json.Int o.tests);
+       ("skipped", Json.Int o.skipped);
+       ("violations", Json.Int o.violations);
+       ("false_positives", Json.Int o.false_positives);
+       ( "example",
+         opt (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ]) o.example );
+       ("skip", opt (fun r -> Json.Str r) skip);
+     ]
+    @
+    if campaign.check_certs then
+      [
+        ("certs_checked", Json.Int o.certs_checked);
+        ("cert_claims", Json.Int o.cert_claims);
+        ("cert_violations", Json.Int o.cert_violations);
+        ("cert_example", opt (fun s -> Json.Str s) o.cert_example);
+      ]
+    else [])
+
+let cell_of_json j =
+  let int key = match Json.member key j with Json.Int n -> n | _ -> 0 in
+  let str key = match Json.member key j with Json.Str s -> Some s | _ -> None in
+  ( {
+      tests = Json.(to_int (member "tests" j));
+      skipped = Json.(to_int (member "skipped" j));
+      violations = Json.(to_int (member "violations" j));
+      false_positives = Json.(to_int (member "false_positives" j));
+      example =
+        (match Json.member "example" j with
+        | Json.List [ Json.Int s; Json.Int k ] -> Some (s, k)
+        | _ -> None);
+      certs_checked = int "certs_checked";
+      cert_claims = int "cert_claims";
+      cert_violations = int "cert_violations";
+      cert_example = str "cert_example";
+    },
+    str "skip" )
+
+let skipped_cell campaign reason =
+  cell_to_json campaign (fresh_outcome ()) (Some reason)
+
+let program_at ?program_of campaign index =
+  match Option.bind program_of (fun f -> f index) with
+  | Some p -> p
+  | None -> generate_program campaign index
+
+(* The per-program exception barrier: a program whose simulation faults
+   (watchdog, invariant failure, or any other exception) is retried
+   once and then skipped with its reason, instead of aborting the
+   campaign.  With [cert_poison] (shard workers) a refuted certificate
+   is escalated to {!Certify.Cert_violation} instead, so the supervisor
+   poisons only this cell and its ledger records the violation. *)
+let cell ?(cert_poison = false) ?program_of campaign defense index =
+  let program = program_at ?program_of campaign index in
+  let cert_witness = ref None in
+  let attempt () =
+    test_program ~cert_witness campaign defense ~index ~program
+  in
+  let ok sub =
+    match (cert_poison, !cert_witness) with
+    | true, Some v -> raise (Certify.Cert_violation v)
+    | _ -> cell_to_json campaign sub None
+  in
+  match attempt () with
+  | sub -> ok sub
+  | exception (Certify.Cert_violation _ as e) when cert_poison -> raise e
+  | exception _ -> (
+      match attempt () with
+      | sub -> ok sub
+      | exception e -> skipped_cell campaign (describe_exn e))
+
+(* Merge per-program cells (index, payload) in index order into a
+   report.  Witnesses never travel in cells: the first violating index
+   is replayed here with witness capture, which feeds both the shrinker
+   and the attribution replay, so every width reports the same
+   counterexample. *)
+let finish ?(shrink = true) ?(shrink_budget = 64) ?program_of campaign defense
+    cells =
   let out = fresh_outcome () in
-  let start, prior_faults, resumed_from =
-    match Option.map Checkpoint.load checkpoint with
-    | Some (Some c) when Checkpoint.matches campaign c ->
-        out.tests <- c.Checkpoint.ck_tests;
-        out.skipped <- c.Checkpoint.ck_skipped;
-        out.violations <- c.Checkpoint.ck_violations;
-        out.false_positives <- c.Checkpoint.ck_false_positives;
-        if c.Checkpoint.ck_example_seed >= 0 then
-          out.example <-
-            Some (c.Checkpoint.ck_example_seed, c.Checkpoint.ck_example_input);
-        (c.Checkpoint.ck_next, c.Checkpoint.ck_faulted, Some c.Checkpoint.ck_next)
-    | _ -> (0, 0, None)
-  in
-  let skips = ref [] in
-  let faulted = ref prior_faults in
-  let witness = ref None in
-  for index = start to campaign.programs - 1 do
-    let pseed = program_seed campaign index in
-    let program =
-      match program_of with
-      | Some f -> ( match f index with
-          | Some p -> p
-          | None -> generate_program campaign index)
-      | None -> generate_program campaign index
-    in
-    let attempt () = test_program ~witness campaign defense ~index ~program in
-    (match attempt () with
-    | sub -> merge_outcome ~into:out sub
-    | exception _ -> (
-        (* Retry once — then skip the program and continue the campaign. *)
-        match attempt () with
-        | sub -> merge_outcome ~into:out sub
-        | exception e ->
-            incr faulted;
-            skips :=
-              { sk_index = index; sk_seed = pseed; sk_reason = describe_exn e }
-              :: !skips));
-    match checkpoint with
-    | Some path ->
-        Checkpoint.save path
-          {
-            Checkpoint.ck_seed = campaign.seed;
-            ck_programs = campaign.programs;
-            ck_inputs = campaign.inputs_per_program;
-            ck_next = index + 1;
-            ck_tests = out.tests;
-            ck_skipped = out.skipped;
-            ck_violations = out.violations;
-            ck_false_positives = out.false_positives;
-            ck_faulted = !faulted;
-            ck_example_seed = (match out.example with Some (s, _) -> s | None -> -1);
-            ck_example_input =
-              (match out.example with Some (_, k) -> k | None -> -1);
-          }
-    | None -> ()
-  done;
-  let counterexample =
-    match !witness with
-    | Some w when shrink ->
-        Some (shrink_witness ~budget:shrink_budget campaign defense w)
-    | _ -> None
-  in
-  let attribution =
-    match !witness with
-    | Some w -> attribute_witness campaign defense w
-    | None -> None
+  let skips = ref [] and first = ref None in
+  List.iter
+    (fun (index, j) ->
+      let sub, skip = cell_of_json j in
+      merge_outcome ~into:out sub;
+      if !first = None && sub.example <> None then first := Some index;
+      Option.iter
+        (fun reason ->
+          skips :=
+            {
+              sk_index = index;
+              sk_seed = program_seed campaign index;
+              sk_reason = reason;
+            }
+            :: !skips)
+        skip)
+    (List.sort (fun (a, _) (b, _) -> compare (a : int) b) cells);
+  let witness =
+    Option.bind !first (fun index ->
+        let w = ref None in
+        let program = program_at ?program_of campaign index in
+        (try ignore (test_program ~witness:w campaign defense ~index ~program)
+         with _ -> ());
+        !w)
   in
   {
     r_outcome = out;
-    r_completed = campaign.programs - !faulted;
+    r_completed = campaign.programs - List.length !skips;
     r_skipped = List.rev !skips;
-    r_resumed_from = resumed_from;
-    r_counterexample = counterexample;
-    r_attribution = attribution;
+    r_counterexample =
+      (if shrink then
+         Option.map (shrink_witness ~budget:shrink_budget campaign defense)
+           witness
+       else None);
+    r_attribution = Option.bind witness (attribute_witness campaign defense);
   }
+
+(* The serial in-process campaign: every program through the barrier,
+   merged by [finish]. *)
+let run_resilient ?shrink ?shrink_budget ?program_of campaign defense =
+  finish ?shrink ?shrink_budget ?program_of campaign defense
+    (List.init campaign.programs (fun i ->
+         (i, cell ?program_of campaign defense i)))
 
 (* --- fuzzer self-test via fault injection ----------------------------- *)
 

@@ -10,11 +10,13 @@
     post-processing filter of Section VII-B1e).
 
     Long campaigns additionally get a robustness layer: a per-program
-    exception barrier with retry-once-then-skip ([run_resilient]),
+    exception barrier with retry-once-then-skip ({!cell}),
     watchdog-enforced per-simulation cycle budgets, counterexample
-    shrinking, JSON checkpoint/resume, and a fault-injection self-test
-    ([self_test]) that verifies the campaign would actually flag a broken
-    defense. *)
+    shrinking, and a fault-injection self-test ([self_test]) that
+    verifies the campaign would actually flag a broken defense.  Cells
+    are JSON, so every campaign, at every width, checkpoints and
+    resumes through the supervisor's one checkpoint format
+    ([Protean_harness.Supervisor.Campaign]). *)
 
 open Protean_isa
 open Protean_arch
@@ -114,10 +116,6 @@ val test_program :
     violation, for drivers that escalate it to a structured
     {!Protean_protcc.Certify.Cert_violation} cell fault. *)
 
-val describe_exn : exn -> string
-(** [Sim_fault] dumps rendered via {!Pipeline.fault_to_string}; other
-    exceptions via [Printexc]. *)
-
 (** {1 Counterexample shrinking} *)
 
 val pair_violates :
@@ -163,40 +161,13 @@ val attribute_witness :
     driven by a memory-order violation, no window divergence), or
     "unknown".  Replay faults degrade to [None]. *)
 
-(** {1 Campaign checkpointing} *)
+(** {1 Campaign cells}
 
-module Checkpoint : sig
-  type t = {
-    ck_seed : int;
-    ck_programs : int;
-    ck_inputs : int;
-    ck_next : int;  (** next program index to run *)
-    ck_tests : int;
-    ck_skipped : int;
-    ck_violations : int;
-    ck_false_positives : int;
-    ck_faulted : int;
-    ck_example_seed : int;  (** -1 = no violation example yet *)
-    ck_example_input : int;
-  }
-
-  val to_json : t -> string
-  val of_json : string -> t option
-  val save : string -> t -> unit
-  (** Atomic (write-then-rename) save. *)
-
-  val load : ?warn:(string -> unit) -> string -> t option
-  (** [None] when the file is absent or malformed.  A file that exists
-      but fails to parse (e.g. truncated by a crash mid-write of a
-      non-atomic copy) additionally invokes [warn] (default: a warning
-      line on stderr) before being ignored, so a silently restarted
-      campaign leaves a trace. *)
-
-  val matches : campaign -> t -> bool
-  (** Does the checkpoint belong to this campaign (seed, sizes)? *)
-end
-
-(** {1 Crash-resilient campaigns} *)
+    One program of a campaign is one cell: {!cell} runs it behind the
+    campaign's only exception barrier and encodes the result as JSON,
+    so the same payload is computed in process, shipped by shard and
+    dial-in workers, and persisted in supervisor checkpoints;
+    {!finish} merges any set of cells into a {!report}. *)
 
 type skip = {
   sk_index : int;  (** program index in the campaign *)
@@ -208,29 +179,58 @@ type report = {
   r_outcome : outcome;
   r_completed : int;  (** programs fully tested (including resumed ones) *)
   r_skipped : skip list;  (** programs dropped after retry, oldest first *)
-  r_resumed_from : int option;
-      (** index a matching checkpoint resumed at *)
   r_counterexample : shrunk option;  (** shrunk first violation *)
   r_attribution : Protean_telemetry.Window.attribution option;
       (** {!attribute_witness} on the first violation *)
 }
 
+val cell_key : campaign -> Protean_defense.Defense.t -> int -> string
+(** The cell key of program [index]: the index plus the campaign's
+    identity (defense, contract, instrumentation, generator class,
+    adversary, seed, inputs, squash bug, speculation model, timeout,
+    core, certificate audit and pass fault), so a checkpointed cell is
+    only ever resumed into the campaign that computed it. *)
+
+val cell :
+  ?cert_poison:bool ->
+  ?program_of:(int -> Program.t option) ->
+  campaign ->
+  Protean_defense.Defense.t ->
+  int ->
+  Protean_telemetry.Json.t
+(** Run program [index] with the per-program exception barrier: a
+    program whose simulation faults (watchdog, invariant failure, any
+    exception) is retried once, then recorded as a skip with its
+    reason.  [cert_poison] (shard workers) raises
+    {!Protean_protcc.Certify.Cert_violation} on a refuted certificate
+    instead, so the supervisor poisons only this cell.  [program_of]
+    overrides the generated program at selected indices (harness
+    self-tests). *)
+
+val skipped_cell : campaign -> string -> Protean_telemetry.Json.t
+(** The payload of a program that produced no result (a poisoned
+    supervisor cell): a skip with [reason]. *)
+
+val finish :
+  ?shrink:bool ->
+  ?shrink_budget:int ->
+  ?program_of:(int -> Program.t option) ->
+  campaign ->
+  Protean_defense.Defense.t ->
+  (int * Protean_telemetry.Json.t) list ->
+  report
+(** Merge (index, cell) pairs in index order.  The first violating
+    index is replayed with witness capture, then shrunk ([shrink],
+    default true, within [shrink_budget] replays) and attributed. *)
+
 val run_resilient :
-  ?checkpoint:string ->
   ?shrink:bool ->
   ?shrink_budget:int ->
   ?program_of:(int -> Program.t option) ->
   campaign ->
   Protean_defense.Defense.t ->
   report
-(** Run a campaign with a per-program exception barrier: a program whose
-    simulation faults (watchdog, invariant failure, any exception) is
-    retried once, then skipped with a structured report, and the campaign
-    continues.  [checkpoint] names a JSON state file saved after every
-    program and resumed from when it matches the campaign.  [shrink]
-    (default true) shrinks the first violating program.  [program_of]
-    overrides the generated program at selected indices (harness
-    self-tests). *)
+(** The serial campaign: {!cell} for every program, then {!finish}. *)
 
 (** {1 Fuzzer self-test via fault injection} *)
 

@@ -35,6 +35,7 @@
 
 module Fault_inject = Protean_defense.Fault_inject
 module Json = Shard.Json
+module Log = Protean_telemetry.Log
 module Http_listener = Protean_telemetry.Http_listener
 
 (* ------------------------------------------------------------------ *)
@@ -314,7 +315,9 @@ module Checkpoint = struct
 
   (* Load every shard-*.json in [dir]; entries whose (id, key) no longer
      match the current cell list are ignored (a stale checkpoint from a
-     different grid must not poison the merge). *)
+     different grid must not poison the merge).  An unreadable or
+     corrupt file is skipped with a warning naming it: its cells are
+     recomputed, but the restart leaves a trace. *)
   let load_all dir (cells : Shard.cell list) =
     if not (Sys.file_exists dir) then []
     else begin
@@ -333,13 +336,20 @@ module Checkpoint = struct
           let file = Filename.concat dir f in
           match
             let ic = open_in_bin file in
-            let n = in_channel_length ic in
-            let s = really_input_string ic n in
-            close_in ic;
-            Json.of_string (String.trim s)
+            let s =
+              Fun.protect
+                ~finally:(fun () -> close_in_noerr ic)
+                (fun () -> really_input_string ic (in_channel_length ic))
+            in
+            Json.to_list (Json.of_string (String.trim s))
           with
-          | exception _ -> [] (* unreadable/corrupt checkpoint: ignored *)
-          | Json.List entries ->
+          | exception e ->
+              Log.warn ~src:"checkpoint" ~fields:[ ("path", file) ]
+                "ignoring unreadable or malformed checkpoint %s (%s); its \
+                 cells are recomputed"
+                file (Printexc.to_string e);
+              []
+          | entries ->
               List.filter_map
                 (fun e ->
                   match
@@ -350,8 +360,7 @@ module Checkpoint = struct
                       Some (id, key, Json.member "r" e)
                   | _ -> None
                   | exception _ -> None)
-                entries
-          | _ -> [])
+                entries)
         files
     end
 end
@@ -393,6 +402,7 @@ module Ledger = struct
     g_completed : (int, (int * string * Json.t) list ref) Hashtbl.t;
     g_dir : string option;
     mutable g_faults : int;
+    mutable g_save_failed : bool;
   }
 
   let create ~bus ~checkpoint_dir cells =
@@ -409,6 +419,7 @@ module Ledger = struct
       g_completed = Hashtbl.create 8;
       g_dir = checkpoint_dir;
       g_faults = 0;
+      g_save_failed = false;
     }
 
   let have t id = Hashtbl.mem t.g_results id
@@ -445,8 +456,17 @@ module Ledger = struct
         match Hashtbl.find_opt t.g_completed origin with
         | Some l when !l <> [] -> (
             try Checkpoint.save dir origin (List.rev !l)
-            with Sys_error _ | Unix.Unix_error _ -> ()
-            (* checkpointing is best-effort *))
+            with (Sys_error _ | Unix.Unix_error _) as e ->
+              (* Best-effort: the run goes on, but says once that it is
+                 not resumable. *)
+              if not t.g_save_failed then begin
+                t.g_save_failed <- true;
+                let path = Checkpoint.path dir origin in
+                Log.warn ~src:"checkpoint" ~fields:[ ("path", path) ]
+                  "cannot save checkpoint %s (%s); the run goes on without \
+                   checkpoints"
+                  path (Printexc.to_string e)
+              end)
         | _ -> ())
 
   let load_checkpoints t =
@@ -1017,22 +1037,40 @@ let listen_source lp ~pool =
         close_quietly lsock);
   }
 
-(* Resume from checkpoints, open the source, run the loop, and fall
-   back in-process for whatever the workers could not compute. *)
+(* Resume from checkpoints, open the source, run the loop, and compute
+   in process whatever the workers could not — everything, when there
+   is no source.  In process, a run with a checkpoint dir goes
+   [cfg.shards] cells at a time and saves after each batch, so a killed
+   run loses at most one batch; without one it is one [fallback] call. *)
 let supervise ~bus ~http cfg ~fallback cells open_source =
   Shard.ignore_sigpipe ();
   let ledger = Ledger.create ~bus ~checkpoint_dir:cfg.checkpoint_dir cells in
+  let rec fill = function
+    | [] -> ()
+    | cells ->
+        let batch, rest =
+          match cfg.checkpoint_dir with
+          | None -> (cells, [])
+          | Some _ ->
+              let n = max 1 cfg.shards in
+              ( List.filteri (fun i _ -> i < n) cells,
+                List.filteri (fun i _ -> i >= n) cells )
+        in
+        List.iter
+          (fun (id, r) -> Ledger.record_ok ledger ~origin:0 id r)
+          (fallback batch);
+        Ledger.save_checkpoint ledger 0;
+        fill rest
+  in
   let run_fallback reason =
     emit bus (Fallback { reason });
-    List.iter
-      (fun (id, r) -> Ledger.record_ok ledger ~origin:0 id r)
-      (fallback (Ledger.remaining ledger));
-    Ledger.save_checkpoint ledger 0
+    fill (Ledger.remaining ledger)
   in
   Ledger.load_checkpoints ledger;
-  (match Ledger.remaining ledger with
-  | [] -> ()
-  | remaining -> (
+  (match (Ledger.remaining ledger, open_source) with
+  | [], _ -> ()
+  | remaining, None -> fill remaining
+  | remaining, Some open_source -> (
       let lp =
         {
           l_bus = bus;
@@ -1068,9 +1106,11 @@ let run ?(bus = create_bus ()) ?spawn ?http (cfg : config)
     ~(worker_argv : string array)
     ~(fallback : Shard.cell list -> (int * Json.t) list)
     (cells : Shard.cell list) : (int * outcome) list =
-  supervise ~bus ~http cfg ~fallback cells (fun lp ->
-      if Shard.can_spawn () then Ok (spawn_source lp ~spawn ~worker_argv)
-      else Error "process spawning unavailable")
+  supervise ~bus ~http cfg ~fallback cells
+    (Some
+       (fun lp ->
+         if Shard.can_spawn () then Ok (spawn_source lp ~spawn ~worker_argv)
+         else Error "process spawning unavailable"))
 
 (* [run] over TCP: listen on [pool.pl_listen] and lease work batches to
    authenticated dial-in workers.  [cfg.shards] bounds the initial
@@ -1081,8 +1121,17 @@ let run_pool ?(bus = create_bus ()) ?http (cfg : config)
     ?(pool = default_pool_config)
     ~(fallback : Shard.cell list -> (int * Json.t) list)
     (cells : Shard.cell list) : (int * outcome) list =
-  supervise ~bus ~http cfg ~fallback cells (fun lp ->
-      Ok (listen_source lp ~pool))
+  supervise ~bus ~http cfg ~fallback cells
+    (Some (fun lp -> Ok (listen_source lp ~pool)))
+
+(* The usual [fallback]: [compute] each cell id over [jobs] domains. *)
+let in_process ~jobs compute (cells : Shard.cell list) =
+  let cells = Array.of_list cells in
+  let rs =
+    Parallel.map ~jobs
+      (Array.map (fun (c : Shard.cell) () -> compute c.Shard.c_id) cells)
+  in
+  Array.to_list (Array.mapi (fun i (c : Shard.cell) -> (c.Shard.c_id, rs.(i))) cells)
 
 (* ------------------------------------------------------------------ *)
 (* Experiment-grid client                                              *)
@@ -1250,17 +1299,8 @@ module Grid = struct
       let shard_cells =
         List.mapi (fun i (k, _) -> { Shard.c_id = i; c_key = k }) cells
       in
-      let fallback remaining =
-        let remaining = Array.of_list remaining in
-        let rs =
-          Parallel.map ~jobs
-            (Array.map
-               (fun (c : Shard.cell) () ->
-                 result_to_json (E.compute specs.(c.Shard.c_id)))
-               remaining)
-        in
-        Array.to_list
-          (Array.mapi (fun i (c : Shard.cell) -> (c.Shard.c_id, rs.(i))) remaining)
+      let fallback =
+        in_process ~jobs (fun id -> result_to_json (E.compute specs.(id)))
       in
       let outcomes =
         match pool with
@@ -1281,4 +1321,58 @@ module Grid = struct
       E.install session merged;
       gen ()
     end
+end
+
+(* ------------------------------------------------------------------ *)
+(* Fuzz-campaign client                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every fuzz campaign, whatever its width, as supervised cells: program
+   indices keyed by the campaign's identity, each computed by the one
+   barrier [Fuzz.cell] and merged by [Fuzz.finish].  So there is one
+   checkpoint format, resumable at every width, and a poisoned cell is
+   reported like any other skipped program. *)
+module Campaign = struct
+  module Fuzz = Protean_amulet.Fuzz
+
+  let cells campaign d =
+    List.init campaign.Fuzz.programs (fun i ->
+        { Shard.c_id = i; c_key = Fuzz.cell_key campaign d i })
+
+  (* [--worker] side.  A key of another campaign is refused (the worker
+     reports a cellfault) rather than computed as the wrong cell. *)
+  let compute ?cert_poison campaign d =
+    let index = Hashtbl.create 64 in
+    List.iter
+      (fun c -> Hashtbl.replace index c.Shard.c_key c.Shard.c_id)
+      (cells campaign d);
+    fun key ->
+      match Hashtbl.find_opt index key with
+      | Some i -> Fuzz.cell ?cert_poison campaign d i
+      | None -> failwith ("unknown cell key: " ^ key)
+
+  (* [dispatch] runs the cells on workers ([run] or [run_pool] with
+     their wiring applied); without it they run in process, serially or
+     over [jobs] domains.  Either way [cfg.checkpoint_dir] is resumed
+     and saved. *)
+  let run ?(bus = create_bus ()) ?dispatch ?(jobs = 1) ?program_of ?shrink
+      (cfg : config) campaign d =
+    let fallback = in_process ~jobs (Fuzz.cell ?program_of campaign d) in
+    let cells = cells campaign d in
+    let outcomes =
+      match dispatch with
+      | Some dispatch -> dispatch cfg ~fallback cells
+      | None -> supervise ~bus ~http:None cfg ~fallback cells None
+    in
+    Fuzz.finish ?shrink ?program_of campaign d
+      (List.map
+         (fun (id, o) ->
+           ( id,
+             match o with
+             | O_ok j -> j
+             | O_fault { f_attempts; f_reason; _ } ->
+                 Fuzz.skipped_cell campaign
+                   (Printf.sprintf "worker crashed on every attempt (%d): %s"
+                      f_attempts f_reason) ))
+         outcomes)
 end
