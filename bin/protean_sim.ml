@@ -26,10 +26,6 @@ module Json = Protean_harness.Shard.Json
 module Fault_inject = Protean_defense.Fault_inject
 module E = Protean_harness.Experiment
 module Report = Protean_harness.Report
-module Profile = Protean_ooo.Profile
-module Spec_window = Protean_ooo.Spec_window
-module Twindow = Protean_telemetry.Window
-module Flame = Protean_telemetry.Flame
 module Trace = Protean_telemetry.Trace
 
 let bench_arg =
@@ -155,51 +151,7 @@ let instrument pass program =
    exporters can fold it into a session. *)
 let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
     invariants invariant_every bench =
-  let flame_acc = if !E.collect_flame then Some (Flame.create ()) else None in
-  let attached = ref [] in
-  let attach ~root program t =
-    match flame_acc with
-    | None -> ()
-    | Some acc ->
-        let p = Profile.create () in
-        let sink snap = E.fold_flame ~root program snap acc in
-        Profile.attach ~sink p t;
-        attached := t :: !attached
-  in
-  let ledgers : (Pipeline.t * Spec_window.t) list ref = ref [] in
-  let attach_ledger (t : Pipeline.t) =
-    if !E.collect_window then ledgers := (t, Spec_window.attach t) :: !ledgers
-  in
-  let finish_tele runs =
-    List.iter Profile.detach !attached;
-    let pm =
-      if !E.collect_policy_metrics then E.merge_policy_metrics runs else []
-    in
-    let fl = match flame_acc with None -> [] | Some acc -> Flame.to_list acc in
-    let wn =
-      List.fold_left
-        (fun acc (t, led) ->
-          Spec_window.detach t led;
-          (match (!E.window_hook, Spec_window.leaky_windows led) with
-          | Some f, (_ :: _ as leaky) -> f (d.Defense.id ^ "/" ^ bench) leaky
-          | _ -> ());
-          Twindow.merge_counters acc (Spec_window.counters led))
-        [] !ledgers
-    in
-    (pm, fl, wn)
-  in
-  let result ~cycles ~stats ~pm ~fl ~wn =
-    {
-      E.cycles = float_of_int cycles;
-      stats;
-      code_size_ratio = nan;
-      inserted_moves = 0;
-      policy_metrics = pm;
-      flame = fl;
-      frontend = "";
-      window = wn;
-    }
-  in
+  let attach, finish = E.collector (d.Defense.id ^ "/" ^ bench) in
   match b.Suite.kind with
   | Suite.Single f ->
       let program = instrument pass (f ()) in
@@ -211,21 +163,14 @@ let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
       let policy = d.Defense.make () in
       let r =
         Pipeline.run ~spec_model ~fuel:50_000_000 ?on_cycle
-          ~on_start:(fun t ->
-            attach ~root:[ d.Defense.id; bench ] program t;
-            attach_ledger t)
+          ~on_start:(attach ~root:[ d.Defense.id; bench ] program)
           config policy program ~overlays:[]
       in
-      let pm, fl, wn = finish_tele [ (policy, r.Pipeline.stats) ] in
-      let report =
-        Format.asprintf "%s under %s on %s:@.  %a@.  measured cycles: %d@."
+      let cycles = Stats.measured_cycles r.Pipeline.stats in
+      ( Format.asprintf "%s under %s on %s:@.  %a@.  measured cycles: %d@."
           bench d.Defense.id config.Config.name Stats.pp r.Pipeline.stats
-          (Stats.measured_cycles r.Pipeline.stats)
-      in
-      ( report,
-        result
-          ~cycles:(Stats.measured_cycles r.Pipeline.stats)
-          ~stats:[ r.Pipeline.stats ] ~pm ~fl ~wn )
+          cycles,
+        finish ~cycles [ (policy, r.Pipeline.stats) ] )
   | Suite.Multi f ->
       let programs = Array.map (instrument pass) (f ()) in
       let policies = ref [] in
@@ -234,18 +179,17 @@ let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
         policies := p :: !policies;
         p
       in
-      let on_core i t =
-        attach
-          ~root:[ d.Defense.id; bench; Printf.sprintf "core%d" i ]
-          programs.(i) t;
-        attach_ledger t
+      let on_core i =
+        attach ~root:[ d.Defense.id; bench; Printf.sprintf "core%d" i ]
+          programs.(i)
       in
       let r =
         Multicore.run ~spec_model ~fuel:50_000_000 ~invariants
           ~invariant_every ~on_core config ~make_policy programs
       in
-      let pm, fl, wn =
-        finish_tele (E.core_runs (List.rev !policies) r.Multicore.per_core)
+      let res =
+        finish ~cycles:r.Multicore.cycles
+          (E.core_runs (List.rev !policies) r.Multicore.per_core)
       in
       let buf = Buffer.create 256 in
       let ppf = Format.formatter_of_buffer buf in
@@ -256,13 +200,7 @@ let simulate (b : Suite.benchmark) (d : Defense.t) config spec_model pass
           Format.fprintf ppf "  core %d: %a@." i Stats.pp c.Pipeline.stats)
         r.Multicore.per_core;
       Format.pp_print_flush ppf ();
-      ( Buffer.contents buf,
-        result ~cycles:r.Multicore.cycles
-          ~stats:
-            (Array.to_list
-               (Array.map (fun (c : Pipeline.result) -> c.Pipeline.stats)
-                  r.Multicore.per_core))
-          ~pm ~fl ~wn )
+      (Buffer.contents buf, res)
 
 let run (cli : Cli.t) list benches defense pass core core_width spec_model
     invariants invariant_every paranoid_sched check_certs inject heartbeat

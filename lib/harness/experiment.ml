@@ -299,22 +299,6 @@ let fold_flame ~root program (snap : Profile.snapshot) acc =
     snap.Profile.snap_flame;
   Flame.add acc ~frames:(root @ [ "(no-commit)" ]) snap.Profile.snap_residual
 
-(* Sum named policy counters across cores, each core's policy read
-   against that core's stats (sorted by name, so the list is
-   deterministic whatever order cores were created in). *)
-let merge_policy_metrics (runs : (Policy.t * Stats.t) list) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun ((p : Policy.t), st) ->
-      List.iter
-        (fun (k, v) ->
-          let prev = try Hashtbl.find tbl k with Not_found -> 0 in
-          Hashtbl.replace tbl k (prev + v))
-        (p.Policy.metrics st))
-    runs;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
-
 (* Pair each core's policy (in creation order, which is core order) with
    that core's stats. *)
 let core_runs policies (per_core : Pipeline.result array) =
@@ -322,115 +306,113 @@ let core_runs policies (per_core : Pipeline.result array) =
     (Array.to_list
        (Array.map (fun (c : Pipeline.result) -> c.Pipeline.stats) per_core))
 
+(* Telemetry collection for one run of [label], whichever switches are
+   on: [attach ~root program] goes in a core's start hook and gives it a
+   commit-gap profiler (flame stacks under [root]) and a window ledger;
+   [finish ~cycles runs] detaches everything and returns the run's
+   result from its (policy, stats) pairs in core order — policy counters
+   summed across cores, folded flame stacks, summed window counters. *)
+let collector label =
+  let flame = if !collect_flame then Some (Flame.create ()) else None in
+  let profiled = ref [] and ledgers = ref [] in
+  let attach ~root program (t : Pipeline.t) =
+    (match flame with
+    | None -> ()
+    | Some acc ->
+        let sink snap = fold_flame ~root program snap acc in
+        Profile.attach ~sink (Profile.create ()) t;
+        profiled := t :: !profiled);
+    if !collect_window then ledgers := (t, Spec_window.attach t) :: !ledgers
+  in
+  let finish ~cycles runs =
+    List.iter Profile.detach !profiled;
+    let sum f =
+      List.fold_left (fun acc x -> Twindow.merge_counters acc (f x)) []
+    in
+    {
+      cycles = float_of_int cycles;
+      stats = List.map snd runs;
+      code_size_ratio = nan;
+      inserted_moves = 0;
+      policy_metrics =
+        (if !collect_policy_metrics then
+           sum (fun ((p : Policy.t), st) -> p.Policy.metrics st) runs
+         else []);
+      flame = (match flame with None -> [] | Some acc -> Flame.to_list acc);
+      frontend = "";
+      window =
+        sum
+          (fun (t, led) ->
+            Spec_window.detach t led;
+            (match (!window_hook, Spec_window.leaky_windows led) with
+            | Some f, (_ :: _ as leaky) -> f label leaky
+            | _ -> ());
+            Spec_window.counters led)
+          !ledgers;
+    }
+  in
+  (attach, finish)
+
 let execute spec =
   let bkey =
     Printf.sprintf "%s/%s" spec.bench.Suite.suite spec.bench.Suite.name
   in
-  (* Flame collection: a commit-gap profiler per core, flushed through
-     the unsubscribe finalizer when we detach after the run. *)
-  let flame_acc = if !collect_flame then Some (Flame.create ()) else None in
-  let attached : Pipeline.t list ref = ref [] in
-  let attach_profiler ~root program (t : Pipeline.t) =
-    match flame_acc with
-    | None -> ()
-    | Some acc ->
-        let p = Profile.create () in
-        let sink snap = fold_flame ~root program snap acc in
-        Profile.attach ~sink p t;
-        attached := t :: !attached
-  in
-  let detach_all () = List.iter Profile.detach !attached in
-  (* Window ledgers: one per core, attached alongside the profiler and
-     merged (summed) at the end of the run. *)
-  let ledgers : (Pipeline.t * Spec_window.t) list ref = ref [] in
-  let attach_ledger (t : Pipeline.t) =
-    if !collect_window then ledgers := (t, Spec_window.attach t) :: !ledgers
-  in
-  let finish_tele runs =
-    detach_all ();
-    let pm = if !collect_policy_metrics then merge_policy_metrics runs else [] in
-    let fl = match flame_acc with None -> [] | Some acc -> Flame.to_list acc in
-    let wn =
-      List.fold_left
-        (fun acc (t, led) ->
-          Spec_window.detach t led;
-          (match (!window_hook, Spec_window.leaky_windows led) with
-          | Some f, (_ :: _ as leaky) ->
-              f (spec.dcfg.label ^ "/" ^ bkey) leaky
-          | _ -> ());
-          Twindow.merge_counters acc (Spec_window.counters led))
-        [] !ledgers
-    in
-    (pm, fl, wn)
-  in
+  let attach, finish = collector (spec.dcfg.label ^ "/" ^ bkey) in
   let fe = prepare_frontend spec in
-  match spec.bench.Suite.kind with
-  | Suite.Single _ ->
-      let program = fe.fe_programs.(0) in
-      let policy = spec.dcfg.defense.Defense.make () in
-      let r =
-        Pipeline.run ~squash_bug:spec.squash_bug ~spec_model:spec.spec_model
-          ~decode:fe.fe_decode.(0) ~fuel:default_fuel
-          ~on_start:(fun t ->
-            attach_profiler ~root:[ spec.dcfg.label; bkey ] program t;
-            attach_ledger t)
-          spec.config policy program ~overlays:[]
-      in
-      let policy_metrics, flame, window =
-        finish_tele [ (policy, r.Pipeline.stats) ]
-      in
-      if not r.Pipeline.finished then
-        failwith
-          (Printf.sprintf "experiment %s/%s did not finish"
-             spec.bench.Suite.name spec.dcfg.label);
-      {
-        cycles = float_of_int (Stats.measured_cycles r.Pipeline.stats);
-        stats = [ r.Pipeline.stats ];
-        code_size_ratio = fe.fe_ratio;
-        inserted_moves = fe.fe_moves;
-        policy_metrics;
-        flame;
-        frontend = fe.fe_key;
-        window;
-      }
-  | Suite.Multi _ ->
-      let programs = fe.fe_programs in
-      let policies = ref [] in
-      let make_policy () =
-        let p = spec.dcfg.defense.Defense.make () in
-        policies := p :: !policies;
-        p
-      in
-      let on_core i t =
-        attach_profiler
-          ~root:[ spec.dcfg.label; bkey; Printf.sprintf "core%d" i ]
-          programs.(i) t;
-        attach_ledger t
-      in
-      let r =
-        Multicore.run ~squash_bug:spec.squash_bug ~spec_model:spec.spec_model
-          ~decode:fe.fe_decode ~fuel:default_fuel ~on_core spec.config
-          ~make_policy programs
-      in
-      let policy_metrics, flame, window =
-        finish_tele (core_runs (List.rev !policies) r.Multicore.per_core)
-      in
-      if not r.Multicore.finished then
-        failwith
-          (Printf.sprintf "experiment %s/%s did not finish"
-             spec.bench.Suite.name spec.dcfg.label);
-      {
-        cycles = float_of_int r.Multicore.cycles;
-        stats =
-          Array.to_list
-            (Array.map (fun (c : Pipeline.result) -> c.Pipeline.stats) r.Multicore.per_core);
-        code_size_ratio = fe.fe_ratio;
-        inserted_moves = fe.fe_moves;
-        policy_metrics;
-        flame;
-        frontend = fe.fe_key;
-        window;
-      }
+  let did_not_finish () =
+    failwith
+      (Printf.sprintf "experiment %s/%s did not finish" spec.bench.Suite.name
+         spec.dcfg.label)
+  in
+  let r =
+    match spec.bench.Suite.kind with
+    | Suite.Single _ ->
+        let program = fe.fe_programs.(0) in
+        let policy = spec.dcfg.defense.Defense.make () in
+        let r =
+          Pipeline.run ~squash_bug:spec.squash_bug ~spec_model:spec.spec_model
+            ~decode:fe.fe_decode.(0) ~fuel:default_fuel
+            ~on_start:(attach ~root:[ spec.dcfg.label; bkey ] program)
+            spec.config policy program ~overlays:[]
+        in
+        let res =
+          finish
+            ~cycles:(Stats.measured_cycles r.Pipeline.stats)
+            [ (policy, r.Pipeline.stats) ]
+        in
+        if not r.Pipeline.finished then did_not_finish ();
+        res
+    | Suite.Multi _ ->
+        let programs = fe.fe_programs in
+        let policies = ref [] in
+        let make_policy () =
+          let p = spec.dcfg.defense.Defense.make () in
+          policies := p :: !policies;
+          p
+        in
+        let on_core i =
+          attach
+            ~root:[ spec.dcfg.label; bkey; Printf.sprintf "core%d" i ]
+            programs.(i)
+        in
+        let r =
+          Multicore.run ~squash_bug:spec.squash_bug ~spec_model:spec.spec_model
+            ~decode:fe.fe_decode ~fuel:default_fuel ~on_core spec.config
+            ~make_policy programs
+        in
+        let res =
+          finish ~cycles:r.Multicore.cycles
+            (core_runs (List.rev !policies) r.Multicore.per_core)
+        in
+        if not r.Multicore.finished then did_not_finish ();
+        res
+  in
+  {
+    r with
+    code_size_ratio = fe.fe_ratio;
+    inserted_moves = fe.fe_moves;
+    frontend = fe.fe_key;
+  }
 
 (* Memoized session.  [collect], when set, switches [run] into a
    discovery mode used by {!prewarm}: cache misses are recorded (keyed

@@ -185,70 +185,6 @@ let labels_of_key key =
       [ ("bench", bench); ("core", core); ("defense", defense) ]
   | _ -> [ ("cell", key) ]
 
-(* One row per [Stats.t] field worth a family of its own (the marker
-   position is bookkeeping, not a count, and is skipped). *)
-let stat_families : (string * string * (Stats.t -> int)) list =
-  [
-    ( "protean_pipeline_cycles_total",
-      "simulated cycles",
-      fun s -> s.Stats.cycles );
-    ( "protean_pipeline_committed_total",
-      "instructions committed",
-      fun s -> s.Stats.committed );
-    ( "protean_pipeline_fetched_total",
-      "instructions fetched (wrong path included)",
-      fun s -> s.Stats.fetched );
-    ( "protean_cycles_skipped_total",
-      "idle cycles the event-driven scheduler skipped instead of \
-       spinning (a subset of protean_pipeline_cycles_total)",
-      fun s -> s.Stats.skipped_cycles );
-    ( "protean_pipeline_squashes_total",
-      "pipeline squashes",
-      fun s -> s.Stats.squashes );
-    ( "protean_pipeline_squashed_insns_total",
-      "instructions flushed by squashes",
-      fun s -> s.Stats.squashed_insns );
-    ( "protean_pipeline_branch_mispredicts_total",
-      "branch mispredictions",
-      fun s -> s.Stats.branch_mispredicts );
-    ( "protean_pipeline_machine_clears_total",
-      "machine clears (faulting commits)",
-      fun s -> s.Stats.machine_clears );
-    ( "protean_pipeline_mem_order_violations_total",
-      "memory order violations",
-      fun s -> s.Stats.mem_order_violations );
-    ( "protean_pipeline_loads_executed_total",
-      "loads executed",
-      fun s -> s.Stats.loads_executed );
-    ( "protean_pipeline_loads_protected_mem_total",
-      "loads that read protected memory",
-      fun s -> s.Stats.loads_protected_mem );
-    ( "protean_cache_l1d_accesses_total",
-      "L1D accesses",
-      fun s -> s.Stats.l1d_accesses );
-    ( "protean_cache_l1d_misses_total",
-      "L1D misses",
-      fun s -> s.Stats.l1d_misses );
-    ( "protean_defense_transmitter_stall_cycles_total",
-      "cycles ready transmitters were stalled by the policy",
-      fun s -> s.Stats.transmitter_stall_cycles );
-    ( "protean_defense_wakeup_delay_cycles_total",
-      "cycles completed results were held back from dependents",
-      fun s -> s.Stats.wakeup_delay_cycles );
-    ( "protean_defense_resolution_delay_cycles_total",
-      "cycles executed branches were denied resolution",
-      fun s -> s.Stats.resolution_delay_cycles );
-    ( "protean_predictor_lookups_total",
-      "access-predictor lookups",
-      fun s -> s.Stats.access_pred_lookups );
-    ( "protean_predictor_mispredicts_total",
-      "access-predictor mispredictions among retired loads",
-      fun s -> s.Stats.access_pred_mispredicts );
-    ( "protean_predictor_false_negatives_total",
-      "access-predictor false negatives (ProtDelay fallbacks)",
-      fun s -> s.Stats.access_pred_false_negatives );
-  ]
-
 (* Ledger counter names → metric families.  "windows_opened" →
    protean_window_opened_total, "window_cycles" →
    protean_window_cycles_total, "transmitters" →
@@ -303,51 +239,30 @@ let of_session (session : E.session) =
         in
         Metrics.observe h (int_of_float r.E.cycles)
       end;
+      (* Pipeline counters: each [Stats.fields] row feeds its families,
+         and the per-port array one series per port.  Zero values emit
+         nothing, so families a cell never touched (ports, stalls) stay
+         out of its export. *)
+      let export (fm : Stats.family) extra v =
+        if v <> 0 then
+          Metrics.inc ~n:v
+            (Metrics.counter reg ~help:fm.Stats.f_help
+               ~labels:(extra @ fm.Stats.f_labels @ labels)
+               fm.Stats.f_name)
+      in
       List.iter
         (fun (st : Stats.t) ->
           List.iter
-            (fun (family, help, field) ->
-              let v = field st in
-              if v <> 0 then
-                Metrics.inc ~n:v (Metrics.counter reg ~help ~labels family))
-            stat_families;
-          (* Structural-port families (nonzero only when the cell ran a
-             [Config.ports] config): per-port issue counts, and the
-             stall attribution split into structural causes (no free
-             port, CDB budget) vs protection causes (the defense's
-             delay gates) — both labeled by kind so dashboards can
-             stack them against total cycles. *)
+            (fun (f : Stats.field) ->
+              let v = f.Stats.get st in
+              List.iter (fun fm -> export fm [] v) f.Stats.families)
+            Stats.fields;
           Array.iteri
             (fun port v ->
-              if v <> 0 then
-                Metrics.inc ~n:v
-                  (Metrics.counter reg
-                     ~help:"issues bound to each execution port"
-                     ~labels:(("port", string_of_int port) :: labels)
-                     "protean_port_busy_total"))
-            st.Stats.port_busy;
-          let stall family kind help v =
-            if v <> 0 then
-              Metrics.inc ~n:v
-                (Metrics.counter reg ~help
-                   ~labels:(("kind", kind) :: labels)
-                   family)
-          in
-          stall "protean_stall_structural_cycles_total" "port"
-            "entry-cycles ready instructions found no compatible free port"
-            st.Stats.port_structural_stall_cycles;
-          stall "protean_stall_structural_cycles_total" "writeback"
-            "entry-cycles completions were deferred by the CDB budget"
-            st.Stats.wb_queue_stall_cycles;
-          stall "protean_stall_protection_cycles_total" "transmitter"
-            "entry-cycles ready transmitters were stalled by the policy"
-            st.Stats.transmitter_stall_cycles;
-          stall "protean_stall_protection_cycles_total" "wakeup"
-            "entry-cycles completed results were held back from dependents"
-            st.Stats.wakeup_delay_cycles;
-          stall "protean_stall_protection_cycles_total" "resolution"
-            "entry-cycles executed branches were denied resolution"
-            st.Stats.resolution_delay_cycles)
+              export Stats.port_family
+                [ (Stats.port_label, string_of_int port) ]
+                v)
+            (Stats.get_port_busy st))
         r.E.stats;
       List.iter
         (fun (name, v) ->

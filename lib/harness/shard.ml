@@ -77,8 +77,9 @@ let ignore_sigpipe () =
 
 (* Version of the frame protocol, exchanged in the TCP pool handshake:
    a worker built from a different protocol generation is rejected at
-   dial-in instead of corrupting a campaign mid-run. *)
-let protocol_version = 1
+   dial-in instead of corrupting a campaign mid-run.  Bump it whenever a
+   frame or a result payload changes shape. *)
+let protocol_version = 2
 
 (* Structured protocol fault: the stream violated the framing rules
    (oversized or negative length prefix, truncated payload).  Distinct

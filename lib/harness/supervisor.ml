@@ -213,11 +213,13 @@ let status_to_string = function
   | Unix.WSTOPPED s -> Printf.sprintf "stopped %s" (signal_name s)
 
 (* Spawn [argv] (normally this executable with [--worker]) with frame
-   pipes on its stdin/stdout and a captured stderr. *)
+   pipes on its stdin/stdout and a captured stderr.  Close-on-exec, so no
+   worker holds a sibling's pipe ends: when the supervisor dies, its
+   workers see EOF or EPIPE and exit instead of hanging. *)
 let spawn_exec ~argv ~env_fault : transport =
-  let to_worker_r, to_worker_w = Unix.pipe ~cloexec:false () in
-  let from_worker_r, from_worker_w = Unix.pipe ~cloexec:false () in
-  let err_r, err_w = Unix.pipe ~cloexec:false () in
+  let to_worker_r, to_worker_w = Unix.pipe ~cloexec:true () in
+  let from_worker_r, from_worker_w = Unix.pipe ~cloexec:true () in
+  let err_r, err_w = Unix.pipe ~cloexec:true () in
   let env =
     let base =
       Array.to_list (Unix.environment ())
@@ -401,6 +403,7 @@ module Ledger = struct
     g_results : (int, outcome) Hashtbl.t;
     g_completed : (int, (int * string * Json.t) list ref) Hashtbl.t;
     g_dir : string option;
+    g_saved_at : (int, float) Hashtbl.t; (* origin -> last streamed save *)
     mutable g_faults : int;
     mutable g_save_failed : bool;
   }
@@ -418,6 +421,7 @@ module Ledger = struct
       g_results = Hashtbl.create 64;
       g_completed = Hashtbl.create 8;
       g_dir = checkpoint_dir;
+      g_saved_at = Hashtbl.create 8;
       g_faults = 0;
       g_save_failed = false;
     }
@@ -468,6 +472,21 @@ module Ledger = struct
                   path (Printexc.to_string e)
               end)
         | _ -> ())
+
+  (* A result streamed in mid-lease: save its origin, so a supervisor
+     killed mid-lease keeps what reached it.  A save rewrites the whole
+     origin file, so after an origin's first result saves are spaced
+     [stream_save_interval] apart (saving every result made a 2000-program
+     campaign 1.7x slower on a 2-core host); [end_lease] saves the rest. *)
+  let stream_save_interval = 0.5
+
+  let save_streamed t origin =
+    let now = Unix.gettimeofday () in
+    match Hashtbl.find_opt t.g_saved_at origin with
+    | Some last when now -. last < stream_save_interval -> ()
+    | _ ->
+        Hashtbl.replace t.g_saved_at origin now;
+        save_checkpoint t origin
 
   let load_checkpoints t =
     match t.g_dir with
@@ -699,6 +718,7 @@ let dispatch lp src ~http =
       | Shard.F_result (id, r) ->
           let p = lease_of s id in
           Ledger.record_ok lp.l_ledger ~origin:p.p_origin id r;
+          Ledger.save_streamed lp.l_ledger p.p_origin;
           lp.l_progress <- now ();
           emit bus (Cell_done { shard; cell = id })
       | Shard.F_cellfault { fc_id; fc_reason } ->
@@ -1147,49 +1167,43 @@ module Grid = struct
   module E = Experiment
   module Stats = Protean_ooo.Stats
 
-  (* The per-port array rides as the list tail, after the fixed scalar
-     counters — variable-length, so it must come last. *)
+  (* A [Stats.t] travels as one object keyed by [Stats.fields] names plus
+     the per-port array: {"cycles":N,...,"port_busy":[...]}.  Keys are
+     matched by name, so a reordered payload decodes to the same record,
+     and a missing or unknown name is a decode error — never a shifted
+     value. *)
   let stats_to_json (s : Stats.t) =
-    Json.List
+    Json.Obj
       (List.map
-         (fun i -> Json.Int i)
-         ([
-            s.Stats.cycles; s.Stats.marker_cycle; s.Stats.committed;
-            s.Stats.fetched; s.Stats.squashes; s.Stats.squashed_insns;
-            s.Stats.branch_mispredicts; s.Stats.machine_clears;
-            s.Stats.mem_order_violations; s.Stats.l1d_accesses;
-            s.Stats.l1d_misses; s.Stats.transmitter_stall_cycles;
-            s.Stats.wakeup_delay_cycles; s.Stats.resolution_delay_cycles;
-            s.Stats.access_pred_lookups; s.Stats.access_pred_mispredicts;
-            s.Stats.access_pred_false_negatives; s.Stats.loads_executed;
-            s.Stats.loads_protected_mem; s.Stats.port_structural_stall_cycles;
-            s.Stats.wb_queue_stall_cycles; s.Stats.skipped_cycles;
-          ]
-         @ Array.to_list s.Stats.port_busy))
+         (fun (f : Stats.field) -> (f.Stats.name, Json.Int (f.Stats.get s)))
+         Stats.fields
+      @ [
+          ( Stats.port_busy_name,
+            Json.List
+              (Array.to_list
+                 (Array.map (fun n -> Json.Int n) (Stats.get_port_busy s))) );
+        ])
 
   let stats_of_json j =
-    match List.map Json.to_int (Json.to_list j) with
-    | cycles :: marker_cycle :: committed :: fetched :: squashes
-      :: squashed_insns :: branch_mispredicts :: machine_clears
-      :: mem_order_violations :: l1d_accesses :: l1d_misses
-      :: transmitter_stall_cycles :: wakeup_delay_cycles
-      :: resolution_delay_cycles :: access_pred_lookups
-      :: access_pred_mispredicts :: access_pred_false_negatives
-      :: loads_executed :: loads_protected_mem
-      :: port_structural_stall_cycles :: wb_queue_stall_cycles
-      :: skipped_cycles :: port_busy ->
-        {
-          Stats.cycles; marker_cycle; committed; fetched; squashes;
-          squashed_insns; branch_mispredicts; machine_clears;
-          mem_order_violations; l1d_accesses; l1d_misses;
-          transmitter_stall_cycles; wakeup_delay_cycles;
-          resolution_delay_cycles; access_pred_lookups;
-          access_pred_mispredicts; access_pred_false_negatives;
-          loads_executed; loads_protected_mem; port_structural_stall_cycles;
-          wb_queue_stall_cycles; skipped_cycles;
-          port_busy = Array.of_list port_busy;
-        }
-    | _ -> Json.parse_error "bad stats payload"
+    let s = Stats.create () and seen = ref [] in
+    List.iter
+      (fun (k, v) ->
+        if List.mem k !seen then Json.parse_error "duplicate counter %s" k;
+        seen := k :: !seen;
+        if k = Stats.port_busy_name then
+          Stats.set_port_busy s
+            (Array.of_list (List.map Json.to_int (Json.to_list v)))
+        else
+          match List.find_opt (fun f -> f.Stats.name = k) Stats.fields with
+          | Some f -> f.Stats.set s (Json.to_int v)
+          | None -> Json.parse_error "unknown stats counter %s" k)
+      (match j with Json.Obj kvs -> kvs | _ -> Json.parse_error "bad stats");
+    let names =
+      Stats.port_busy_name :: List.map (fun f -> f.Stats.name) Stats.fields
+    in
+    (match List.find_opt (fun n -> not (List.mem n !seen)) names with
+    | Some n -> Json.parse_error "stats payload lacks %s" n
+    | None -> s)
 
   (* Named-counter lists (policy metrics, folded flame stacks) ride the
      frame protocol as [[name, n], ...] pairs. *)
@@ -1226,28 +1240,30 @@ module Grid = struct
       @ if r.E.frontend = "" then [] else [ ("fe", Json.Str r.E.frontend) ])
 
   let result_of_json j =
+    let opt k decode default =
+      match Json.member k j with Json.Null -> default | v -> decode v
+    in
     {
       E.cycles = Json.(to_float (member "cycles" j));
       stats = List.map stats_of_json Json.(to_list (member "stats" j));
       code_size_ratio = Json.(to_float (member "code_size_ratio" j));
       inserted_moves = Json.(to_int (member "inserted_moves" j));
-      policy_metrics =
-        (match Json.member "pm" j with
-        | Json.Null -> []
-        | pm -> counters_of_json pm);
-      flame =
-        (match Json.member "fl" j with
-        | Json.Null -> []
-        | fl -> counters_of_json fl);
-      frontend =
-        (match Json.member "fe" j with
-        | Json.Null -> ""
-        | fe -> Json.to_str fe);
-      window =
-        (match Json.member "wn" j with
-        | Json.Null -> []
-        | wn -> counters_of_json wn);
+      policy_metrics = opt "pm" counters_of_json [];
+      flame = opt "fl" counters_of_json [];
+      frontend = opt "fe" Json.to_str "";
+      window = opt "wn" counters_of_json [];
     }
+
+  (* A cell's identity on the wire and in checkpoints: its session key
+     plus what this process collects, so a checkpoint of a run that
+     collected less (no policy counters, flame stacks or window
+     counters, no certificate audit) never resumes into one that
+     collects more.  Session keys, and with them metric labels and the
+     attribution report, stay as they are. *)
+  let cell_key key =
+    Printf.sprintf "%s|pm=%b|fl=%b|wn=%b|certs=%b" key
+      !E.collect_policy_metrics !E.collect_flame !E.collect_window
+      !Protean_protcc.Certify.enabled
 
   (* [--worker] mode of a tables/figures CLI: rerun the same discovery
      (same argv modulo supervisor flags, so the same cells at the same
@@ -1258,7 +1274,7 @@ module Grid = struct
       session gen =
     let cells = E.discover session gen in
     let by_key = Hashtbl.create 64 in
-    List.iter (fun (k, s) -> Hashtbl.replace by_key k s) cells;
+    List.iter (fun (k, s) -> Hashtbl.replace by_key (cell_key k) s) cells;
     let compute key =
       match Hashtbl.find_opt by_key key with
       | Some spec -> result_to_json (E.compute spec)
@@ -1297,7 +1313,7 @@ module Grid = struct
       let specs = Array.of_list (List.map snd cells) in
       let keys = Array.of_list (List.map fst cells) in
       let shard_cells =
-        List.mapi (fun i (k, _) -> { Shard.c_id = i; c_key = k }) cells
+        List.mapi (fun i (k, _) -> { Shard.c_id = i; c_key = cell_key k }) cells
       in
       let fallback =
         in_process ~jobs (fun id -> result_to_json (E.compute specs.(id)))
@@ -1307,14 +1323,25 @@ module Grid = struct
         | Some p -> run_pool ?bus ?http config ~pool:p ~fallback shard_cells
         | None -> run ?bus ?http config ~worker_argv ~fallback shard_cells
       in
+      (* A payload that does not decode (a damaged checkpoint, a frame
+         from a worker of another build) is recomputed here, never
+         fatal and never a silently shifted value. *)
       let merged =
         List.map
           (fun (id, o) ->
             match o with
-            | O_ok r -> (keys.(id), result_of_json r)
-            | O_fault { f_key; f_attempts; f_reason } ->
+            | O_ok r -> (
+                match result_of_json r with
+                | res -> (keys.(id), res)
+                | exception Json.Parse reason ->
+                    Log.warn ~src:"grid" ~fields:[ ("cell", keys.(id)) ]
+                      "undecodable result for cell %s (%s); recomputing it \
+                       in process"
+                      keys.(id) reason;
+                    (keys.(id), E.compute specs.(id)))
+            | O_fault { f_attempts; f_reason; _ } ->
                 E.log_line "[fault] cell=%s: %s (after %d worker attempts)"
-                  f_key f_reason f_attempts;
+                  keys.(id) f_reason f_attempts;
                 (keys.(id), E.faulted_result))
           outcomes
       in

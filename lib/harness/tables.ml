@@ -10,6 +10,7 @@ module E = Experiment
 module Suite = Protean_workloads.Suite
 module Protcc = Protean_protcc.Protcc
 module Config = Protean_ooo.Config
+module Stats = Protean_ooo.Stats
 module Defense = Protean_defense.Defense
 module Twindow = Protean_telemetry.Window
 
@@ -229,16 +230,18 @@ let width_sweep ?benches ?widths session =
                 let b = Suite.find name in
                 let r = E.run session (E.spec ~config b dcfg) in
                 let u = E.run session (E.spec ~config b E.cfg_unsafe) in
+                (* The shares of the exported stall families. *)
                 List.iter
-                  (fun (st : Protean_ooo.Stats.t) ->
-                    let open Protean_ooo.Stats in
-                    cycles := !cycles + st.cycles;
+                  (fun (st : Stats.t) ->
+                    cycles := !cycles + st.Stats.cycles;
                     structural :=
-                      !structural + st.port_structural_stall_cycles
-                      + st.wb_queue_stall_cycles;
+                      !structural
+                      + Stats.family_total
+                          "protean_stall_structural_cycles_total" st;
                     protection :=
-                      !protection + st.transmitter_stall_cycles
-                      + st.wakeup_delay_cycles + st.resolution_delay_cycles)
+                      !protection
+                      + Stats.family_total
+                          "protean_stall_protection_cycles_total" st)
                   r.E.stats;
                 r.E.cycles /. u.E.cycles)
               cells
@@ -435,43 +438,28 @@ let over_protection ?benches session =
   let rows =
     List.concat_map
       (fun (dlabel, cells) ->
-        let total = ref [] in
-        let cells =
+        let row name w =
+          let c k = string_of_int (Twindow.counter k w) in
+          [
+            dlabel; name; c "windows_opened"; c "windows_leaky";
+            c "interventions_benign"; c "interventions_leaky";
+            (match Twindow.over_protection w with
+            | None -> "-"
+            | Some ratio -> fmt_norm ratio);
+          ]
+        in
+        let windows =
           List.map
             (fun (name, dcfg) ->
-              let b = Suite.find name in
-              let r = E.run session (E.spec b dcfg) in
-              total := Twindow.merge_counters !total r.E.window;
-              let c k = Twindow.counter k r.E.window in
-              let benign = c "interventions_benign" in
-              let leaky = c "interventions_leaky" in
-              [
-                dlabel;
-                name;
-                string_of_int (c "windows_opened");
-                string_of_int (c "windows_leaky");
-                string_of_int benign;
-                string_of_int leaky;
-                (match Twindow.over_protection r.E.window with
-                | None -> "-"
-                | Some ratio -> fmt_norm ratio);
-              ])
+              (name, (E.run session (E.spec (Suite.find name) dcfg)).E.window))
             cells
         in
-        let c k = Twindow.counter k !total in
-        cells
+        List.map (fun (name, w) -> row name w) windows
         @ [
-            [
-              dlabel;
-              "TOTAL";
-              string_of_int (c "windows_opened");
-              string_of_int (c "windows_leaky");
-              string_of_int (c "interventions_benign");
-              string_of_int (c "interventions_leaky");
-              (match Twindow.over_protection !total with
-              | None -> "-"
-              | Some ratio -> fmt_norm ratio);
-            ];
+            row "TOTAL"
+              (List.fold_left
+                 (fun acc (_, w) -> Twindow.merge_counters acc w)
+                 [] windows);
           ])
       defenses
   in

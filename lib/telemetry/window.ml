@@ -44,9 +44,11 @@ let render_attribution a =
 (* Summary-counter helpers                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Ledger summaries travel as [(name, count) list] (the same shape as
-   policy metrics).  Merging sums per name — commutative and
-   associative, so shard/job merge order cannot change the result. *)
+(* Ledger summaries and policy counters both travel as
+   [(name, count) list]; this is the one merge for them (across cores,
+   cells and shards).  It sums per name and sorts by name — commutative
+   and associative, so shard/job merge order cannot change the
+   result. *)
 let merge_counters (a : (string * int) list) (b : (string * int) list) =
   let add acc (name, n) =
     let prev = try List.assoc name acc with Not_found -> 0 in
@@ -74,7 +76,3 @@ let counters_to_json counters =
          (fun (name, n) -> Printf.sprintf {|"%s":%d|} (String.escaped name) n)
          counters)
   ^ "}"
-
-let render_counters counters =
-  String.concat "\n"
-    (List.map (fun (name, n) -> Printf.sprintf "%-24s %d" name n) counters)

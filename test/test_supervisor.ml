@@ -475,6 +475,45 @@ let test_supervised_checkpoint_resume () =
              | Supervisor.Checkpoint_loaded { cells = 2 } -> true | _ -> false)
            (events ())))
 
+(* Streamed results are checkpointed as they arrive: after sending its
+   first result the worker holds its lease open and finds that result
+   already saved — so a supervisor killed mid-lease would keep it. *)
+let test_streamed_result_checkpointed_mid_lease () =
+  with_temp_dir (fun dir ->
+      let file = Supervisor.Checkpoint.path dir 0 in
+      let mid_lease = ref [] in
+      let script in_r out_w =
+        match Shard.read_frame in_r with
+        | Some (Shard.F_work (first :: rest)) ->
+            let send c =
+              Shard.write_frame out_w
+                (Shard.F_result (c.Shard.c_id, compute c.Shard.c_key))
+            in
+            send first;
+            let deadline = Unix.gettimeofday () +. 5.0 in
+            while (not (Sys.file_exists file)) && Unix.gettimeofday () < deadline do
+              Unix.sleepf 0.01
+            done;
+            mid_lease := Supervisor.Checkpoint.load_all dir (cells_of 3);
+            List.iter send rest;
+            Shard.write_frame out_w Shard.F_done;
+            ignore (Shard.read_frame in_r)
+        | _ -> ()
+      in
+      let spawn ~shard:_ ~attempt:_ ~env_fault:_ =
+        domain_transport ~misbehave:script ~compute ()
+      in
+      let cfg = { (config ~shards:1 ()) with Supervisor.checkpoint_dir = Some dir } in
+      let out =
+        Supervisor.run ~spawn cfg ~worker_argv:[||] ~fallback:no_fallback
+          (cells_of 3)
+      in
+      Alcotest.(check bool) "merged output complete" true (out = expected_ok 3);
+      Alcotest.(check bool) "first result saved while the lease was open" true
+        (!mid_lease = [ (0, "k0", compute "k0") ]);
+      Alcotest.(check int) "every result saved by the lease's end" 3
+        (List.length (Supervisor.Checkpoint.load_all dir (cells_of 3))))
+
 (* --- transport-level chaos over pipes ---------------------------------- *)
 
 (* Stream one good result, then raw garbage bytes whose length prefix
@@ -816,6 +855,8 @@ let tests =
       test_supervised_spawn_failure_falls_back;
     Alcotest.test_case "checkpoint resume skips completed cells" `Quick
       test_supervised_checkpoint_resume;
+    Alcotest.test_case "streamed result checkpointed mid-lease" `Quick
+      test_streamed_result_checkpointed_mid_lease;
     Alcotest.test_case "garbage bytes mid-stream killed and retried" `Quick
       test_supervised_garbage_midstream;
     Alcotest.test_case "byte-dribbled frames with interleaved heartbeats"

@@ -487,6 +487,192 @@ let test_attribution_deterministic () =
       Alcotest.(check bool) "serial == shard-style recovery" true
         (sharded = Some a)
 
+(* --- the counter schema ------------------------------------------------ *)
+
+(* A record whose every [Stats.fields] row holds its own value (row i
+   holds i + 1), plus a per-port array. *)
+let distinct_stats () =
+  let s = Stats.create () in
+  List.iteri (fun i (f : Stats.field) -> f.Stats.set s (i + 1)) Stats.fields;
+  Stats.set_port_busy s [| 7; 0; 9 |];
+  s
+
+(* Adding a [Stats.t] field without a row fails here: the record has
+   one slot per row plus [port_busy], and after [distinct_stats] every
+   integer slot holds exactly one row's value. *)
+let test_schema_covers_stats () =
+  let n = List.length Stats.fields in
+  Alcotest.(check int) "one row per scalar, plus port_busy" (n + 1)
+    (Obj.size (Obj.repr (Stats.create ())));
+  let s = distinct_stats () in
+  let r = Obj.repr s in
+  let slots =
+    List.filter_map
+      (fun i ->
+        let v = Obj.field r i in
+        if Obj.is_int v then Some (Obj.obj v : int) else None)
+      (List.init (Obj.size r) Fun.id)
+  in
+  Alcotest.(check (list int)) "each slot written by exactly one row"
+    (List.init n (fun i -> i + 1))
+    (List.sort compare slots);
+  List.iteri
+    (fun i (f : Stats.field) ->
+      Alcotest.(check int) ("get reads what set wrote: " ^ f.Stats.name) (i + 1)
+        (f.Stats.get s))
+    Stats.fields;
+  let names = List.map (fun (f : Stats.field) -> f.Stats.name) Stats.fields in
+  Alcotest.(check int) "names are distinct" (n + 1)
+    (List.length (List.sort_uniq compare (Stats.port_busy_name :: names)))
+
+let test_stats_codec_roundtrip () =
+  let s = distinct_stats () in
+  let wire = Json.to_string (Supervisor.Grid.stats_to_json s) in
+  Alcotest.(check bool) "every counter round-trips exactly" true
+    (Supervisor.Grid.stats_of_json (Json.of_string wire) = s)
+
+let test_stats_codec_by_name () =
+  let s = distinct_stats () in
+  let kvs =
+    match Supervisor.Grid.stats_to_json s with
+    | Json.Obj kvs -> kvs
+    | _ -> Alcotest.fail "stats payload is not an object"
+  in
+  let decode kvs = Supervisor.Grid.stats_of_json (Json.Obj kvs) in
+  Alcotest.(check bool) "reordered payload decodes to the same record" true
+    (decode (List.rev kvs) = s);
+  let rejected what kvs =
+    match decode kvs with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Json.Parse _ -> ()
+  in
+  rejected "a missing name" (List.filter (fun (k, _) -> k <> "skipped_cycles") kvs);
+  rejected "a missing port array"
+    (List.filter (fun (k, _) -> k <> Stats.port_busy_name) kvs);
+  rejected "an unknown name" (("bogus_cycles", Json.Int 1) :: kvs);
+  rejected "a duplicated name" (List.hd kvs :: kvs);
+  match Supervisor.Grid.stats_of_json (Json.List [ Json.Int 1 ]) with
+  | _ -> Alcotest.fail "a positional payload accepted"
+  | exception Json.Parse _ -> ()
+
+(* --- supervised grid checkpoints -------------------------------------- *)
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go k = k + n <= m && (String.sub s k n = sub || go (k + 1)) in
+  go 0
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "protean_grid_ck" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+let with_switches ~pm ~wn f =
+  E.collect_policy_metrics := pm;
+  E.collect_window := wn;
+  Fun.protect
+    ~finally:(fun () ->
+      E.collect_policy_metrics := false;
+      E.collect_window := false)
+    f
+
+(* [grid] under [Grid.supervised] with checkpoints in [dir].  A dial-in
+   pool nobody joins gives up at once and the in-process fill computes
+   every cell, saving after each batch — so no process is spawned.
+   Returns the session and the number of cells resumed. *)
+let supervised_grid dir =
+  let session = E.create_session () in
+  let bus = Supervisor.create_bus () in
+  let resumed = ref 0 in
+  Supervisor.subscribe bus ~name:"resumed" (function
+    | Supervisor.Checkpoint_loaded { cells } -> resumed := cells
+    | _ -> ());
+  let config =
+    { Supervisor.default_config with Supervisor.checkpoint_dir = Some dir }
+  in
+  let pool =
+    { Supervisor.default_pool_config with Supervisor.pl_accept_wall = 0.0 }
+  in
+  Supervisor.Grid.supervised ~bus ~config ~pool ~worker_argv:[||] session
+    (fun () -> grid session);
+  (session, !resumed)
+
+let serial_grid () =
+  let session = E.create_session () in
+  grid session;
+  session
+
+(* A checkpoint written without exporters must not resume into a run
+   that collects policy and window counters: its cells carry neither,
+   so they are recomputed and the run renders what a fresh collecting
+   run does.  A rerun with the same switches resumes every cell. *)
+let test_checkpoint_identity_covers_collection () =
+  with_temp_dir (fun dir ->
+      let _, resumed = with_switches ~pm:false ~wn:false (fun () -> supervised_grid dir) in
+      Alcotest.(check int) "fresh run resumed nothing" 0 resumed;
+      with_switches ~pm:true ~wn:true (fun () ->
+          let fresh = render (serial_grid ()) in
+          let session, resumed = supervised_grid dir in
+          Alcotest.(check int) "collecting run resumed nothing" 0 resumed;
+          Alcotest.(check string) "collecting run == fresh run" fresh
+            (render session);
+          let fams = Metrics.families (Metrics.snapshot (Report.of_session session)) in
+          List.iter
+            (fun fam ->
+              Alcotest.(check bool) (fam ^ " exported") true (List.mem fam fams))
+            [ "protean_window_opened_total"; "protean_defense_transmitter_retirements_total" ];
+          let session, resumed = supervised_grid dir in
+          Alcotest.(check int) "same switches resume every cell" 4 resumed;
+          Alcotest.(check string) "resumed run == fresh run" fresh
+            (render session)))
+
+(* A checkpoint entry whose stats lack a counter is recomputed with a
+   warning naming its cell, and the run finishes with the output of an
+   undamaged one. *)
+let test_undecodable_checkpoint_recomputed () =
+  with_temp_dir (fun dir ->
+      let first, _ = supervised_grid dir in
+      let file = Supervisor.Checkpoint.path dir 0 in
+      let entries = Json.to_list (Json.of_string (In_channel.with_open_bin file In_channel.input_all)) in
+      let damaged_key = Json.(to_str (member "key" (List.hd entries))) in
+      let update key f = function
+        | Json.Obj kvs ->
+            Json.Obj (List.map (fun (k, v) -> (k, if k = key then f v else v)) kvs)
+        | j -> j
+      in
+      (* Drop the last counter of every stats object of the first entry. *)
+      let truncate = function
+        | Json.Obj kvs -> Json.Obj (List.rev (List.tl (List.rev kvs)))
+        | j -> j
+      in
+      let damage =
+        update "r" (update "stats" (fun v -> Json.List (List.map truncate (Json.to_list v))))
+      in
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc
+            (Json.to_string (Json.List (damage (List.hd entries) :: List.tl entries))));
+      let warned = ref [] in
+      Tlog.set_sink (fun l -> warned := l :: !warned);
+      let (again, resumed) = Fun.protect ~finally:Tlog.reset_sink (fun () -> supervised_grid dir) in
+      Alcotest.(check int) "every entry loaded" 4 resumed;
+      let session_key = List.hd (String.split_on_char '|' damaged_key) in
+      Alcotest.(check bool) "the warning names the cell" true
+        (List.exists
+           (fun l -> contains ~sub:"undecodable" l && contains ~sub:session_key l)
+           !warned);
+      Alcotest.(check string) "output equals the undamaged run" (render first)
+        (render again);
+      Hashtbl.iter
+        (fun key r ->
+          Alcotest.(check bool) (key ^ " recomputed exactly") true
+            (Hashtbl.find again.E.cache key = r))
+        first.E.cache)
+
 let tests =
   [
     Alcotest.test_case "registry basics" `Quick test_registry_basics;
@@ -514,4 +700,14 @@ let tests =
       test_window_counters_deterministic;
     Alcotest.test_case "attribution deterministic across drivers" `Quick
       test_attribution_deterministic;
+    Alcotest.test_case "counter schema covers every Stats field" `Quick
+      test_schema_covers_stats;
+    Alcotest.test_case "stats codec round-trips every counter" `Quick
+      test_stats_codec_roundtrip;
+    Alcotest.test_case "stats codec matches counters by name" `Quick
+      test_stats_codec_by_name;
+    Alcotest.test_case "grid checkpoint identity covers collection" `Quick
+      test_checkpoint_identity_covers_collection;
+    Alcotest.test_case "undecodable checkpoint payload is recomputed" `Quick
+      test_undecodable_checkpoint_recomputed;
   ]
